@@ -1,0 +1,385 @@
+"""Benchmark harness: repeated stratified 70/30 splits, hyperparameter grids
+with k-fold cross-validated selection, training, K-NN evaluation, forward
+smoothing of accuracy-vs-K curves, and report emission.
+
+The whole pipeline is a pure function of (config, seed): splits and fold
+assignments derive from per-repetition child seeds, and training itself is
+deterministic. Preprocessing statistics and model selection only ever see the
+training partition.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .classifier import FitKnn, accuracy
+from .core import Dataset, HyperParams, MetricMatrix
+from .data import apply_zscore, build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load
+from .objective import HingeLoss, nca_objective, pnca_objective
+from .optimizer import default_init, train
+
+METHODS = ("ann_plus", "ann_minus", "pnca_report", "euclidean_baseline")
+ANN_MINUS_K0 = 10
+PCA_THRESHOLD = 150
+
+# Full sweep grids (2^-9 .. 2^10); the shipped configs subsample these, since
+# the complete cross-product is a cluster-scale job, not a desk-scale one.
+FULL_POWER_GRID = tuple(2.0 ** k for k in range(-9, 11))
+FULL_NEGATIVE_POWER_GRID = tuple(-g for g in FULL_POWER_GRID)
+FULL_K_GRID = tuple(range(1, 47, 3))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    dataset: str
+    path: str
+    format: str = "delimited"
+    method: str = "ann_plus"
+    alpha_grid: tuple = (1.0,)
+    gamma_grid: tuple = (1.0,)
+    k_grid: tuple = FULL_K_GRID
+    repetitions: int = 10
+    split_fraction: float = 0.7
+    cv_folds: int = 5
+    seed: int = 0
+    max_iters: int = 40
+    eta0: float = 1e-3
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError("unknown method %r" % (self.method,))
+        for name in ("alpha_grid", "gamma_grid", "k_grid"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError("%s must be non-empty" % name)
+        if self.method == "ann_plus" and any(a <= 0 for a in self.alpha_grid):
+            raise ValueError("ann_plus requires a positive alpha grid")
+        if self.method == "ann_minus" and any(a >= 0 for a in self.alpha_grid):
+            raise ValueError("ann_minus requires a negative alpha grid")
+        if any(g <= 0 for g in self.gamma_grid):
+            raise ValueError("gamma grid must be positive")
+        if any(k < 1 for k in self.k_grid):
+            raise ValueError("k grid must be positive")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if not 0 < self.split_fraction < 1:
+            raise ValueError("split_fraction must be in (0, 1)")
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be >= 2")
+
+
+@dataclass
+class AccuracyRecord:
+    """One experiment's outcome; mean/std are recomputable from accuracies."""
+
+    method: str
+    dataset: str
+    alpha: float
+    gamma: float
+    k: int
+    accuracies: list
+    mean: float
+    std: float
+    wall_time_seconds: float
+    acc_by_k: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# Splitting
+
+
+def stratified_split(labels, fraction: float, rng) -> tuple:
+    """Per-class shuffled split; train takes round(fraction * n_c) of each
+    class, clamped so both sides stay non-empty."""
+    labels = np.asarray(labels)
+    train_idx, test_idx = [], []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        perm = rng.permutation(members)
+        n_train = int(round(fraction * members.size))
+        n_train = min(max(n_train, 1), members.size - 1)
+        train_idx.append(perm[:n_train])
+        test_idx.append(perm[n_train:])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+
+
+def cv_fold_ids(labels, folds: int, rng) -> np.ndarray:
+    """Stratified fold assignment: shuffle each class, deal out round-robin."""
+    labels = np.asarray(labels)
+    ids = np.empty(labels.size, dtype=int)
+    for c in np.unique(labels):
+        members = rng.permutation(np.flatnonzero(labels == c))
+        ids[members] = np.arange(members.size) % folds
+    return ids
+
+
+def _subset(data: Dataset, idx) -> Dataset:
+    return Dataset(data.features[idx], data.labels[idx], data.names)
+
+
+# ---------------------------------------------------------------------------
+# Per-method training / evaluation
+
+
+def _neighbor_mode(method: str) -> tuple:
+    if method == "ann_minus":
+        return "knn_same_class", ANN_MINUS_K0
+    return "all_same_class", 0
+
+
+def _train_metric(train_ds: Dataset, method: str, alpha: float, gamma: float,
+                  cfg: ExperimentConfig) -> MetricMatrix:
+    mode, k0 = _neighbor_mode(method)
+    nbrs = build_neighbor_sets(train_ds, mode=mode, k0=k0)
+    hp = HyperParams(alpha=alpha, gamma=gamma,
+                     lam=1.0 / train_ds.n_samples ** 2,
+                     loss=HingeLoss(1.0),
+                     max_iters=cfg.max_iters, eta0=cfg.eta0)
+    report = train(train_ds, nbrs, hp, default_init(train_ds))
+    return report.final_metric
+
+
+def _acc_by_k(metric: MetricMatrix, train_ds: Dataset, test_ds: Dataset,
+              k_grid) -> dict:
+    out = {}
+    for k in k_grid:
+        fit = FitKnn(train=train_ds, metric=metric, k=int(k))
+        out[int(k)] = accuracy(fit, test_ds)
+    return out
+
+
+def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
+    """Pick (alpha, gamma) maximizing mean best-K fold accuracy; ties go to
+    smaller |alpha|, then smaller gamma (enforced by scan order)."""
+    folds = cv_fold_ids(train_ds.labels, cfg.cv_folds, rng)
+    combos = sorted(((a, g) for a in cfg.alpha_grid for g in cfg.gamma_grid),
+                    key=lambda t: (abs(t[0]), t[1]))
+    if len(combos) == 1:
+        return combos[0]
+    best, best_score = combos[0], -1.0
+    for alpha, gamma in combos:
+        scores = []
+        for f in range(cfg.cv_folds):
+            tr = _subset(train_ds, folds != f)
+            va = _subset(train_ds, folds == f)
+            metric = _train_metric(tr, cfg.method, alpha, gamma, cfg)
+            accs = _acc_by_k(metric, tr, va, cfg.k_grid)
+            scores.append(max(accs.values()))
+        score = float(np.mean(scores))
+        if score > best_score:
+            best, best_score = (alpha, gamma), score
+    return best
+
+
+def _preprocess(train_ds: Dataset, test_ds: Dataset) -> tuple:
+    """Z-score (and PCA beyond PCA_THRESHOLD features), fitted on train only."""
+    z = fit_zscore(train_ds)
+    train_ds, test_ds = apply_zscore(z, train_ds), apply_zscore(z, test_ds)
+    if train_ds.n_features > PCA_THRESHOLD:
+        p = fit_pca(train_ds, PCA_THRESHOLD)
+        train_ds, test_ds = apply_pca(p, train_ds), apply_pca(p, test_ds)
+    return train_ds, test_ds
+
+
+def run_experiment(cfg: ExperimentConfig) -> list:
+    """Run cfg.repetitions seeded stratified splits and return one
+    AccuracyRecord aggregating the per-repetition best-K accuracies."""
+    full = load(cfg.path, format=cfg.format)
+    t0 = time.perf_counter()
+    rep_acc, rep_alpha, rep_gamma, rep_k = [], [], [], []
+    curve_sums = {int(k): 0.0 for k in cfg.k_grid}
+    extras = {}
+    for rep in range(cfg.repetitions):
+        rng = np.random.default_rng([cfg.seed, rep])
+        tr_idx, te_idx = stratified_split(full.labels, cfg.split_fraction, rng)
+        train_ds = _subset(full, tr_idx)
+        test_ds = _subset(full, te_idx)
+        train_ds, test_ds = _preprocess(train_ds, test_ds)
+
+        if cfg.method == "euclidean_baseline":
+            alpha, gamma = cfg.alpha_grid[0], cfg.gamma_grid[0]
+            metric = MetricMatrix.identity(train_ds.n_features)
+        elif cfg.method == "pnca_report":
+            metric = MetricMatrix.identity(train_ds.n_features)
+            nbrs = build_neighbor_sets(train_ds, mode="all_same_class")
+            vals = {a: pnca_objective(metric, train_ds, nbrs, a)
+                    for a in cfg.alpha_grid}
+            alpha = max(vals, key=vals.get)
+            gamma = cfg.gamma_grid[0]
+            extras.setdefault("pnca_objective", []).append(vals[alpha])
+            extras.setdefault("nca_objective", []).append(
+                nca_objective(metric, train_ds))
+        else:
+            alpha, gamma = _cv_select(train_ds, cfg, rng)
+            metric = _train_metric(train_ds, cfg.method, alpha, gamma, cfg)
+
+        accs = _acc_by_k(metric, train_ds, test_ds, cfg.k_grid)
+        for k, v in accs.items():
+            curve_sums[k] += v
+        best_k = max(accs, key=lambda k: (accs[k], -k))
+        rep_acc.append(accs[best_k])
+        rep_alpha.append(alpha)
+        rep_gamma.append(gamma)
+        rep_k.append(best_k)
+
+    acc_by_k = {k: v / cfg.repetitions for k, v in curve_sums.items()}
+    record = AccuracyRecord(
+        method=cfg.method,
+        dataset=cfg.dataset,
+        alpha=_mode(rep_alpha),
+        gamma=_mode(rep_gamma),
+        k=int(_mode(rep_k)),
+        accuracies=[float(a) for a in rep_acc],
+        mean=float(np.mean(rep_acc)),
+        std=float(np.std(rep_acc, ddof=1)) if len(rep_acc) > 1 else 0.0,
+        wall_time_seconds=time.perf_counter() - t0,
+        acc_by_k=acc_by_k,
+        extras=extras,
+    )
+    return [record]
+
+
+def _mode(values):
+    """Most frequent value; earliest-seen wins ties."""
+    seen = {}
+    for v in values:
+        seen[v] = seen.get(v, 0) + 1
+    return max(seen, key=seen.get)
+
+
+# ---------------------------------------------------------------------------
+# Smoothing and reports
+
+
+def smooth_over_k(acc_by_k: dict) -> dict:
+    """Forward 5-point mean: smoothed[K] = mean(acc[K+1..K+5]); K values
+    without a complete window are omitted."""
+    out = {}
+    for k in sorted(acc_by_k):
+        window = [acc_by_k.get(k + i) for i in range(1, 6)]
+        if all(w is not None for w in window):
+            out[k] = float(np.mean(window))
+    return out
+
+
+def emit_report(records, path) -> None:
+    """Write one JSON object per record to path, plus an accuracy-vs-K
+    plot-data file (raw and smoothed two-column blocks) at path + '.curves'."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8") as f:
+        for r in records:
+            f.write(json.dumps({
+                "method": r.method, "dataset": r.dataset,
+                "alpha": r.alpha, "gamma": r.gamma, "k": r.k,
+                "accuracies": r.accuracies, "mean": r.mean, "std": r.std,
+                "wall_time_seconds": r.wall_time_seconds,
+                "acc_by_k": {str(k): v for k, v in r.acc_by_k.items()},
+                "extras": r.extras,
+            }) + "\n")
+    with open(str(path) + ".curves", "w", encoding="utf-8") as f:
+        for idx, r in enumerate(records):
+            for label, curve in (("raw", r.acc_by_k),
+                                 ("smoothed", smooth_over_k(r.acc_by_k))):
+                f.write("# record=%d method=%s dataset=%s curve=%s\n"
+                        % (idx, r.method, r.dataset, label))
+                for k in sorted(curve):
+                    f.write("%d %.6f\n" % (k, curve[k]))
+                f.write("\n")
+
+
+def parse_report(path) -> list:
+    records = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            d = json.loads(line)
+            records.append(AccuracyRecord(
+                method=d["method"], dataset=d["dataset"], alpha=d["alpha"],
+                gamma=d["gamma"], k=d["k"], accuracies=d["accuracies"],
+                mean=d["mean"], std=d["std"],
+                wall_time_seconds=d["wall_time_seconds"],
+                acc_by_k={int(k): v for k, v in d["acc_by_k"].items()},
+                extras=d.get("extras", {}),
+            ))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Config files
+
+
+def load_registry(path) -> dict:
+    """name -> (absolute path, format), one 'name = relpath format' per line."""
+    base = Path(path).parent
+    out = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for raw in f:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            name, _, rest = line.partition("=")
+            parts = rest.split()
+            if len(parts) != 2:
+                raise ValueError("registry line needs 'name = path format': %r" % raw)
+            out[name.strip()] = (str(base / parts[0]), parts[1])
+    return out
+
+
+_INT_KEYS = {"repetitions", "cv_folds", "seed", "max_iters"}
+_FLOAT_KEYS = {"split_fraction", "eta0"}
+_GRID_KEYS = {"alpha_grid", "gamma_grid", "k_grid"}
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse a 'key = value' config; grids are whitespace/comma separated.
+
+    Either dataset_path+dataset_format or a registry reference must resolve
+    the dataset location.
+    """
+    raw = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for raw_line in f:
+            line = raw_line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError("expected 'key = value', got %r" % raw_line)
+            raw[key.strip()] = value.strip()
+
+    if "dataset" not in raw:
+        raise ValueError("config must name a dataset")
+    name = raw.pop("dataset")
+    if "dataset_path" in raw:
+        ds_path = str(Path(path).parent / raw.pop("dataset_path"))
+        ds_format = raw.pop("dataset_format", "delimited")
+    elif "registry" in raw:
+        registry = load_registry(Path(path).parent / raw.pop("registry"))
+        if name not in registry:
+            raise ValueError("dataset %r not in registry" % name)
+        ds_path, ds_format = registry[name]
+    else:
+        raise ValueError("config needs either dataset_path or registry")
+
+    kwargs = {"dataset": name, "path": ds_path, "format": ds_format}
+    for key, value in raw.items():
+        if key in _GRID_KEYS:
+            items = value.replace(",", " ").split()
+            conv = int if key == "k_grid" else float
+            kwargs[key] = tuple(conv(v) for v in items)
+        elif key in _INT_KEYS:
+            kwargs[key] = int(value)
+        elif key in _FLOAT_KEYS:
+            kwargs[key] = float(value)
+        elif key == "method":
+            kwargs[key] = value
+        else:
+            raise ValueError("unknown config key %r" % key)
+    return ExperimentConfig(**kwargs)

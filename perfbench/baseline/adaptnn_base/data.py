@@ -1,0 +1,242 @@
+"""Dataset ingestion, z-score normalization, PCA reduction, and neighbor-set
+construction.
+
+File grammars
+-------------
+delimited:  one sample per line, fields split on a configurable delimiter
+            (default comma), label in a configurable column (default last),
+            '#'-prefixed lines and blank lines ignored.
+sparse:     "label idx:val idx:val ..." with 1-based indices, densified to the
+            maximum index seen in the file; missing entries are 0.
+
+Label tokens of either format are remapped to contiguous integers 1..C in
+first-seen order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .core import Dataset, NeighborSets
+
+CONSTANT_COLUMN_TOL = 1e-12
+PCA_DEFAULT_TARGET = 150
+
+
+# ---------------------------------------------------------------------------
+# Loading and serializing
+
+
+def _remap_labels(tokens):
+    seen = {}
+    out = []
+    for t in tokens:
+        if t not in seen:
+            seen[t] = len(seen) + 1
+        out.append(seen[t])
+    return np.array(out, dtype=int), seen
+
+
+def _data_lines(path):
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line
+
+
+def load(path, format: str = "delimited", delimiter: str = ",",
+         label_column: int = -1) -> Dataset:
+    """Parse a dataset file; see the module docstring for the two grammars."""
+    if format == "delimited":
+        return _load_delimited(path, delimiter, label_column)
+    if format == "sparse_index_value":
+        return _load_sparse(path)
+    raise ValueError("unknown format %r" % (format,))
+
+
+def _load_delimited(path, delimiter, label_column) -> Dataset:
+    rows, tokens = [], []
+    width = None
+    for lineno, line in _data_lines(path):
+        fields = [f.strip() for f in line.split(delimiter)]
+        if width is None:
+            width = len(fields)
+            if width < 2:
+                raise ValueError("%s:%d: need at least one feature and a label"
+                                 % (path, lineno))
+        elif len(fields) != width:
+            raise ValueError("%s:%d: expected %d fields, got %d"
+                             % (path, lineno, width, len(fields)))
+        col = label_column if label_column >= 0 else width + label_column
+        if not 0 <= col < width:
+            raise ValueError("label column %d out of range for %d fields"
+                             % (label_column, width))
+        tokens.append(fields[col])
+        feats = fields[:col] + fields[col + 1:]
+        try:
+            rows.append([float(v) for v in feats])
+        except ValueError:
+            raise ValueError("%s:%d: unparseable feature value" % (path, lineno))
+    if not rows:
+        raise ValueError("%s: no data lines" % path)
+    labels, _ = _remap_labels(tokens)
+    return Dataset(np.array(rows, dtype=float), labels)
+
+
+def _load_sparse(path) -> Dataset:
+    entries, tokens = [], []
+    max_idx = 0
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        tokens.append(parts[0])
+        pairs = []
+        for item in parts[1:]:
+            try:
+                idx_s, val_s = item.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise ValueError("%s:%d: bad index:value pair %r"
+                                 % (path, lineno, item))
+            if idx < 1:
+                raise ValueError("%s:%d: indices are 1-based, got %d"
+                                 % (path, lineno, idx))
+            pairs.append((idx, val))
+            max_idx = max(max_idx, idx)
+        entries.append(pairs)
+    if not entries:
+        raise ValueError("%s: no data lines" % path)
+    if max_idx == 0:
+        raise ValueError("%s: no feature entries in file" % path)
+    X = np.zeros((len(entries), max_idx))
+    for i, pairs in enumerate(entries):
+        for idx, val in pairs:
+            X[i, idx - 1] = val
+    labels, _ = _remap_labels(tokens)
+    return Dataset(X, labels)
+
+
+def save(dataset: Dataset, path, format: str = "delimited",
+         delimiter: str = ",") -> None:
+    """Serialize a Dataset so load() round-trips features bit-exactly
+    (delimited writes repr() of each float)."""
+    with open(path, "w", encoding="utf-8") as f:
+        if format == "delimited":
+            for row, label in zip(dataset.features, dataset.labels):
+                f.write(delimiter.join(repr(float(v)) for v in row))
+                f.write(delimiter + str(int(label)) + "\n")
+        elif format == "sparse_index_value":
+            for row, label in zip(dataset.features, dataset.labels):
+                items = ["%d:%s" % (j + 1, repr(float(v)))
+                         for j, v in enumerate(row) if v != 0.0]
+                f.write(" ".join([str(int(label))] + items) + "\n")
+        else:
+            raise ValueError("unknown format %r" % (format,))
+
+
+# ---------------------------------------------------------------------------
+# Preprocessing
+
+
+@dataclass(frozen=True)
+class Preprocessor:
+    """Fitted normalization/PCA state; apply-functions reject unfitted ones."""
+
+    means: Optional[np.ndarray] = None
+    stds: Optional[np.ndarray] = None
+    pca_basis: Optional[np.ndarray] = None
+    fitted: bool = False
+
+
+def fit_zscore(data: Dataset) -> Preprocessor:
+    """Column means and sample (n-1) standard deviations of the fit split."""
+    X = data.features
+    means = X.mean(axis=0)
+    stds = X.std(axis=0, ddof=1)
+    return Preprocessor(means=means, stds=stds, fitted=True)
+
+
+def apply_zscore(p: Preprocessor, data: Dataset) -> Dataset:
+    """(x - mean) / std per column; near-constant columns (std below
+    CONSTANT_COLUMN_TOL) are centered but not divided."""
+    if not p.fitted or p.stds is None:
+        raise ValueError("preprocessor not fitted for z-scoring")
+    X = data.features - p.means
+    divisor = np.where(p.stds < CONSTANT_COLUMN_TOL, 1.0, p.stds)
+    return Dataset(X / divisor, data.labels, data.names)
+
+
+def fit_pca(data: Dataset, target_dim: int) -> Preprocessor:
+    """Top-target_dim eigenvectors of the sample covariance, descending by
+    eigenvalue; identity transform returned when d <= target_dim.
+
+    Sign convention: each component's largest-magnitude entry is positive.
+    """
+    d = data.n_features
+    if target_dim < 1:
+        raise ValueError("target_dim must be >= 1")
+    if d <= target_dim:
+        return Preprocessor(means=np.zeros(d), pca_basis=np.eye(d), fitted=True)
+    X = data.features
+    means = X.mean(axis=0)
+    xc = X - means
+    cov = xc.T @ xc / (data.n_samples - 1)
+    w, u = np.linalg.eigh(cov)
+    order = np.argsort(w)[::-1][:target_dim]
+    basis = u[:, order]
+    flip = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])] < 0
+    basis = basis * np.where(flip, -1.0, 1.0)
+    return Preprocessor(means=means, pca_basis=basis, fitted=True)
+
+
+def apply_pca(p: Preprocessor, data: Dataset) -> Dataset:
+    if not p.fitted or p.pca_basis is None:
+        raise ValueError("preprocessor not fitted for PCA")
+    if p.pca_basis.shape == (data.n_features, data.n_features) and \
+            np.array_equal(p.pca_basis, np.eye(data.n_features)):
+        return data  # identity transform, bit-exact passthrough
+    return Dataset((data.features - p.means) @ p.pca_basis, data.labels)
+
+
+# ---------------------------------------------------------------------------
+# Neighbor sets
+
+
+def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
+                        k0: int = 10) -> NeighborSets:
+    """Construct S_i/D_i for training.
+
+    mode="all_same_class": S_i is the whole class of i minus i itself.
+    mode="knn_same_class": S_i is the k0 Euclidean-nearest same-class samples
+    (capped at class size - 1, ties broken by lower index). Either way D_i is
+    every sample of a different class.
+    """
+    y = data.labels
+    counts = np.bincount(y, minlength=data.n_classes + 1)[1:]
+    if counts.min() < 2:
+        raise ValueError("every class needs >= 2 samples to build S_i, class %d has %d"
+                         % (int(np.argmin(counts)) + 1, int(counts.min())))
+    similar, dissimilar = [], []
+    by_class = {c: data.class_indices(c) for c in range(1, data.n_classes + 1)}
+    for i in range(data.n_samples):
+        mates = by_class[y[i]]
+        mates = mates[mates != i]
+        if mode == "all_same_class":
+            s = mates
+        elif mode == "knn_same_class":
+            diffs = data.features[mates] - data.features[i]
+            d2 = np.einsum("nd,nd->n", diffs, diffs)
+            kk = min(k0, mates.size)
+            order = np.argsort(d2, kind="stable")[:kk]
+            s = mates[order]
+        else:
+            raise ValueError("unknown mode %r" % (mode,))
+        similar.append(s)
+        dissimilar.append(np.flatnonzero(y != y[i]))
+    return NeighborSets(similar, dissimilar, labels=y)

@@ -1,0 +1,95 @@
+"""Projected gradient descent with multiplicative step-size adaptation.
+
+Each iteration forms the candidate psd_project(M - eta * grad J(M)) and keeps
+it only if the objective strictly decreases; the step size grows by 1.05 on
+acceptance and halves on rejection. The gradient is recomputed only after an
+accepted step (a rejected step leaves the iterate, and hence its gradient,
+unchanged).
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable, Optional
+
+import numpy as np
+
+from .core import Dataset, HyperParams, MetricMatrix, NeighborSets, TrainReport
+from .metric import psd_project
+from .objective import PairEvaluator
+
+ETA_MIN = 1e-12
+MAX_CONSECUTIVE_REJECTIONS = 30
+
+
+class DivergenceError(RuntimeError):
+    """Objective or gradient became non-finite; carries the failing iteration."""
+
+    def __init__(self, message, iteration, metric):
+        super().__init__(message)
+        self.iteration = iteration
+        self.metric = metric
+
+
+def default_init(data: Dataset) -> MetricMatrix:
+    """Initial iterate I / sqrt(N)."""
+    return MetricMatrix(np.eye(data.n_features) / np.sqrt(data.n_samples))
+
+
+def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
+          init: Optional[MetricMatrix] = None,
+          callback: Optional[Callable] = None) -> TrainReport:
+    """Run the descent loop for hp.max_iters iterations (or until the step
+    size collapses below ETA_MIN / 30 consecutive rejections).
+
+    callback, if given, receives (iteration, objective, eta, accepted) after
+    every iteration.
+    """
+    if init is None:
+        init = default_init(data)
+    if init.dim != data.n_features:
+        raise ValueError("init metric is %dx%d but data has %d features"
+                         % (init.dim, init.dim, data.n_features))
+
+    start = time.perf_counter()
+    evaluator = PairEvaluator(data, nbrs, hp)  # pair differences gathered once
+    m = init
+    eta = hp.eta0
+    j_best = evaluator.objective(m)
+    if not np.isfinite(j_best):
+        raise DivergenceError("objective non-finite at the initial iterate", 0, m)
+    trace = [(0, j_best, eta, True)]
+    grad = None
+    rejections = 0
+    iterations = 0
+
+    for it in range(1, hp.max_iters + 1):
+        if grad is None:
+            grad = evaluator.gradient(m)
+            if not np.all(np.isfinite(grad)):
+                raise DivergenceError("gradient non-finite at iteration %d" % it, it, m)
+        candidate = psd_project(m.m - eta * grad)
+        j_cand = evaluator.objective(candidate)
+        if not np.isfinite(j_cand):
+            raise DivergenceError("objective non-finite at iteration %d" % it, it, m)
+        accepted = j_cand < j_best
+        trace.append((it, j_cand, eta, accepted))
+        if callback is not None:
+            callback(it, j_cand, eta, accepted)
+        iterations = it
+        if accepted:
+            m = candidate
+            j_best = j_cand
+            eta *= 1.05
+            grad = None
+            rejections = 0
+        else:
+            eta *= 0.5
+            rejections += 1
+        if eta < ETA_MIN or rejections >= MAX_CONSECUTIVE_REJECTIONS:
+            break
+
+    return TrainReport(final_metric=m,
+                       objective_trace=tuple(trace),
+                       iterations_run=iterations,
+                       wall_time_seconds=time.perf_counter() - start)

@@ -1,0 +1,136 @@
+"""Scalar aggregation: exact top-K averages, the soft aggregate b(gamma), and
+the gamma* solver.
+
+b(gamma) = -(1/gamma) * ln( (1/n) * sum_i exp(-gamma * a_i) ) interpolates
+between the minimum (gamma -> +inf), the mean (gamma -> 0) and the maximum
+(gamma -> -inf) of a list, and for every K there is a gamma* at which it
+equals the average of the K smallest (gamma* > 0) or K largest (gamma* < 0)
+values. gamma = 0 itself is excluded; callers use the plain mean there.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+# Bracketing/bisection parameters for solve_gamma_star.
+MAX_DOUBLINGS = 200
+MAX_BISECTIONS = 200
+GAMMA_TOL = 1e-10
+RESIDUAL_RTOL = 1e-8
+
+
+def _check_values(values) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1:
+        a = a.ravel()
+    if a.size == 0:
+        raise ValueError("values must be non-empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("values must be finite")
+    return a
+
+
+def topk_avg_smallest(values, k: int) -> float:
+    """Average of the K smallest values; ties resolved by value, not index."""
+    a = _check_values(values)
+    if not 1 <= k <= a.size:
+        raise ValueError("K must be in [1, %d], got %d" % (a.size, k))
+    if k == a.size:
+        return float(a.mean())
+    return float(np.mean(np.partition(a, k - 1)[:k]))
+
+
+def topk_avg_largest(values, k: int) -> float:
+    """Average of the K largest values."""
+    a = _check_values(values)
+    if not 1 <= k <= a.size:
+        raise ValueError("K must be in [1, %d], got %d" % (a.size, k))
+    if k == a.size:
+        return float(a.mean())
+    return float(np.mean(np.partition(a, a.size - k)[a.size - k:]))
+
+
+def soft_agg(values, gamma: float) -> float:
+    """The soft aggregate b(gamma), computed with a min/max shift.
+
+    Shifting by m* = min(a) for gamma > 0 (max(a) for gamma < 0) keeps every
+    exponent <= 0, so no intermediate overflows:
+
+        b(gamma) = m* - (1/gamma) * ln( (1/n) * sum exp(-gamma (a_i - m*)) )
+
+    The result always lies in [min(a), max(a)].
+    """
+    a = _check_values(values)
+    if gamma == 0:
+        raise ValueError("gamma must be nonzero; use the plain mean for gamma=0")
+    lo, hi = float(a.min()), float(a.max())
+    shift = lo if gamma > 0 else hi
+    total = np.exp(-gamma * (a - shift)).sum()
+    b = shift - math.log(total / a.size) / gamma
+    # Clamp float drift back into the attainable range.
+    return min(max(b, lo), hi)
+
+
+def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
+    """Find gamma* with b(gamma*) equal to the average of the K smallest
+    (mode="smallest", gamma* > 0) or K largest (mode="largest", gamma* < 0)
+    values.
+
+    Bracket by doubling gamma from +-1 until b(gamma) - target changes sign,
+    then bisect. Residual target: |b(gamma*) - target| <= 1e-8 * (1 + |target|).
+
+    Sentinels:
+      * 0.0    -- the target equals the plain mean (K = n, or constant values),
+                  attained only in the gamma -> 0 limit.
+      * +-inf  -- no finite bracket after 200 doublings (K = 1 with the target
+                  equal to the exact min/max, where gamma* diverges).
+    """
+    a = _check_values(values)
+    n = a.size
+    if mode == "smallest":
+        target = topk_avg_smallest(a, k)
+        sign = 1.0
+    elif mode == "largest":
+        target = topk_avg_largest(a, k)
+        sign = -1.0
+    else:
+        raise ValueError("mode must be 'smallest' or 'largest', got %r" % (mode,))
+
+    mean = float(a.mean())
+    if k == n or a.min() == a.max() or target == mean:
+        return 0.0
+
+    res_tol = RESIDUAL_RTOL * (1.0 + abs(target))
+
+    def f(g: float) -> float:
+        return soft_agg(a, g) - target
+
+    # b is strictly decreasing, so f > 0 near gamma = 0 on the smallest branch
+    # (mean > target) and f < 0 once gamma is past gamma*.
+    gamma = sign
+    lo = 0.0  # bisection never evaluates at the endpoint itself
+    for _ in range(MAX_DOUBLINGS):
+        fg = f(gamma)
+        if abs(fg) <= res_tol:
+            return gamma
+        if (fg < 0) if mode == "smallest" else (fg > 0):
+            hi = gamma
+            break
+        lo = gamma
+        gamma *= 2.0
+    else:
+        return math.inf * sign
+
+    for _ in range(MAX_BISECTIONS):
+        mid = (lo + hi) / 2.0
+        fm = f(mid)
+        if abs(fm) <= res_tol or abs(hi - lo) <= GAMMA_TOL:
+            return mid
+        same_side = (fm > 0) if mode == "smallest" else (fm < 0)
+        if same_side:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
