@@ -19,7 +19,8 @@ from .objective import (HingeLoss, IdentityLoss, SoftplusLoss, PerSampleTerms,
                         neighbor_weights, per_sample_terms, pnca_objective,
                         soft_distances)
 from .optimizer import DivergenceError, default_init, train
-from .classifier import FitKnn, accuracy, decision_score, predict, predict_batch
+from .classifier import (FitKnn, accuracy, accuracy_by_k, decision_score, predict,
+                         predict_batch)
 from .data import (Preprocessor, apply_pca, apply_zscore, build_neighbor_sets,
                    fit_pca, fit_zscore, load, save)
 from .bench import (AccuracyRecord, ExperimentConfig, emit_report, load_config,

@@ -11,13 +11,14 @@ training partition.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import FitKnn, accuracy
+from .classifier import accuracy_by_k
 from .core import Dataset, HyperParams, MetricMatrix
 from .data import apply_zscore, build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load
 from .objective import HingeLoss, nca_objective, pnca_objective
@@ -126,54 +127,38 @@ def _subset(data: Dataset, idx) -> Dataset:
 # Per-method training / evaluation
 
 
-def _neighbor_mode(method: str) -> tuple:
+def _neighbor_sets(ds: Dataset, method: str):
     if method == "ann_minus":
-        return "knn_same_class", ANN_MINUS_K0
-    return "all_same_class", 0
+        return build_neighbor_sets(ds, mode="knn_same_class", k0=ANN_MINUS_K0)
+    return build_neighbor_sets(ds, mode="all_same_class")
 
 
-def _train_metric(train_ds: Dataset, method: str, alpha: float, gamma: float,
+def _train_metric(train_ds: Dataset, nbrs, alpha: float, gamma: float,
                   cfg: ExperimentConfig) -> MetricMatrix:
-    mode, k0 = _neighbor_mode(method)
-    nbrs = build_neighbor_sets(train_ds, mode=mode, k0=k0)
-    hp = HyperParams(alpha=alpha, gamma=gamma,
-                     lam=1.0 / train_ds.n_samples ** 2,
-                     loss=HingeLoss(1.0),
-                     max_iters=cfg.max_iters, eta0=cfg.eta0)
-    report = train(train_ds, nbrs, hp, default_init(train_ds))
-    return report.final_metric
-
-
-def _acc_by_k(metric: MetricMatrix, train_ds: Dataset, test_ds: Dataset,
-              k_grid) -> dict:
-    out = {}
-    for k in k_grid:
-        fit = FitKnn(train=train_ds, metric=metric, k=int(k))
-        out[int(k)] = accuracy(fit, test_ds)
-    return out
+    hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / train_ds.n_samples ** 2,
+                     loss=HingeLoss(1.0), max_iters=cfg.max_iters, eta0=cfg.eta0)
+    return train(train_ds, nbrs, hp, default_init(train_ds)).final_metric
 
 
 def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
-    """Pick (alpha, gamma) maximizing mean best-K fold accuracy; ties go to
-    smaller |alpha|, then smaller gamma (enforced by scan order)."""
+    """Pick the (alpha, gamma) cell with the highest mean best-K fold accuracy.
+    Folds are the outer loop, so each fold's subsets and neighbor sets are
+    built once for all cells. Ties go to the first cell in (|alpha|, gamma)
+    order: smaller |alpha|, then smaller gamma."""
     folds = cv_fold_ids(train_ds.labels, cfg.cv_folds, rng)
-    combos = sorted(((a, g) for a in cfg.alpha_grid for g in cfg.gamma_grid),
-                    key=lambda t: (abs(t[0]), t[1]))
-    if len(combos) == 1:
-        return combos[0]
-    best, best_score = combos[0], -1.0
-    for alpha, gamma in combos:
-        scores = []
-        for f in range(cfg.cv_folds):
-            tr = _subset(train_ds, folds != f)
-            va = _subset(train_ds, folds == f)
-            metric = _train_metric(tr, cfg.method, alpha, gamma, cfg)
-            accs = _acc_by_k(metric, tr, va, cfg.k_grid)
-            scores.append(max(accs.values()))
-        score = float(np.mean(scores))
-        if score > best_score:
-            best, best_score = (alpha, gamma), score
-    return best
+    cells = sorted(((a, g) for a in cfg.alpha_grid for g in cfg.gamma_grid),
+                   key=lambda t: (abs(t[0]), t[1]))
+    if len(cells) == 1:
+        return cells[0]
+    fold_scores = [[] for _ in cells]
+    for f in range(cfg.cv_folds):
+        tr = _subset(train_ds, folds != f)
+        va = _subset(train_ds, folds == f)
+        nbrs = _neighbor_sets(tr, cfg.method)
+        for scores, (alpha, gamma) in zip(fold_scores, cells):
+            metric = _train_metric(tr, nbrs, alpha, gamma, cfg)
+            scores.append(max(accuracy_by_k(tr, metric, va, cfg.k_grid).values()))
+    return cells[int(np.argmax([np.mean(scores) for scores in fold_scores]))]
 
 
 def _preprocess(train_ds: Dataset, test_ds: Dataset) -> tuple:
@@ -197,9 +182,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     for rep in range(cfg.repetitions):
         rng = np.random.default_rng([cfg.seed, rep])
         tr_idx, te_idx = stratified_split(full.labels, cfg.split_fraction, rng)
-        train_ds = _subset(full, tr_idx)
-        test_ds = _subset(full, te_idx)
-        train_ds, test_ds = _preprocess(train_ds, test_ds)
+        train_ds, test_ds = _preprocess(_subset(full, tr_idx), _subset(full, te_idx))
 
         if cfg.method == "euclidean_baseline":
             alpha, gamma = cfg.alpha_grid[0], cfg.gamma_grid[0]
@@ -216,9 +199,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
                 nca_objective(metric, train_ds))
         else:
             alpha, gamma = _cv_select(train_ds, cfg, rng)
-            metric = _train_metric(train_ds, cfg.method, alpha, gamma, cfg)
+            metric = _train_metric(train_ds, _neighbor_sets(train_ds, cfg.method),
+                                   alpha, gamma, cfg)
 
-        accs = _acc_by_k(metric, train_ds, test_ds, cfg.k_grid)
+        accs = accuracy_by_k(train_ds, metric, test_ds, cfg.k_grid)
         for k, v in accs.items():
             curve_sums[k] += v
         best_k = max(accs, key=lambda k: (accs[k], -k))
@@ -269,19 +253,22 @@ def smooth_over_k(acc_by_k: dict) -> dict:
 
 def emit_report(records, path) -> None:
     """Write one JSON object per record to path, plus an accuracy-vs-K
-    plot-data file (raw and smoothed two-column blocks) at path + '.curves'."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps({
-                "method": r.method, "dataset": r.dataset,
-                "alpha": r.alpha, "gamma": r.gamma, "k": r.k,
-                "accuracies": r.accuracies, "mean": r.mean, "std": r.std,
-                "wall_time_seconds": r.wall_time_seconds,
-                "acc_by_k": {str(k): v for k, v in r.acc_by_k.items()},
-                "extras": r.extras,
-            }) + "\n")
-    with open(str(path) + ".curves", "w", encoding="utf-8") as f:
+    plot-data file (raw and smoothed two-column blocks) at path + '.curves'.
+    A NaN or infinity in a record raises ValueError before anything is
+    written; both files go to '.tmp' siblings first and are then moved into
+    place, so an existing report is never left half-overwritten."""
+    path = str(path)
+    lines = [json.dumps({
+        "method": r.method, "dataset": r.dataset,
+        "alpha": r.alpha, "gamma": r.gamma, "k": r.k,
+        "accuracies": r.accuracies, "mean": r.mean, "std": r.std,
+        "wall_time_seconds": r.wall_time_seconds,
+        "acc_by_k": {str(k): v for k, v in r.acc_by_k.items()},
+        "extras": r.extras,
+    }, allow_nan=False) + "\n" for r in records]
+    with open(path + ".tmp", "w", encoding="utf-8") as f:
+        f.writelines(lines)
+    with open(path + ".curves.tmp", "w", encoding="utf-8") as f:
         for idx, r in enumerate(records):
             for label, curve in (("raw", r.acc_by_k),
                                  ("smoothed", smooth_over_k(r.acc_by_k))):
@@ -290,6 +277,8 @@ def emit_report(records, path) -> None:
                 for k in sorted(curve):
                     f.write("%d %.6f\n" % (k, curve[k]))
                 f.write("\n")
+    os.replace(path + ".tmp", path)
+    os.replace(path + ".curves.tmp", path + ".curves")
 
 
 def parse_report(path) -> list:

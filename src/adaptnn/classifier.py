@@ -33,16 +33,14 @@ class FitKnn:
                              % (self.metric.dim, self.train.n_features))
 
 
-def _class_score_table(fit: FitKnn, x: np.ndarray) -> np.ndarray:
-    """(n_queries, n_classes) table of average-K-smallest distances."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    dists = pairwise_sq(fit.metric, x, fit.train.features)
-    scores = np.empty((x.shape[0], fit.train.n_classes))
-    for c in range(1, fit.train.n_classes + 1):
-        cols = fit.train.class_indices(c)
-        kc = min(fit.k, cols.size)
-        block = dists[:, cols]
-        part = np.partition(block, kc - 1, axis=1)[:, :kc]
+def _class_score_table(train: Dataset, dists: np.ndarray, k: int) -> np.ndarray:
+    """(n_queries, n_classes) table of average-K-smallest distances, from the
+    query-to-train distance table."""
+    scores = np.empty((dists.shape[0], train.n_classes))
+    for c in range(1, train.n_classes + 1):
+        cols = train.class_indices(c)
+        kc = min(k, cols.size)
+        part = np.partition(dists[:, cols], kc - 1, axis=1)[:, :kc]
         scores[:, c - 1] = part.mean(axis=1)
     return scores
 
@@ -64,20 +62,32 @@ def decision_score(fit: FitKnn, x, c: int) -> float:
 
 def predict(fit: FitKnn, x) -> int:
     """Predicted class id (ties broken toward the smallest id)."""
-    scores = _class_score_table(fit, np.asarray(x, dtype=float))
-    return int(np.argmin(scores[0]) + 1)
+    return int(predict_batch(fit, x)[0])
 
 
 def predict_batch(fit: FitKnn, x) -> np.ndarray:
     """Vectorized predict over rows of x."""
-    scores = _class_score_table(fit, x)
-    return np.argmin(scores, axis=1) + 1
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dists = pairwise_sq(fit.metric, x, fit.train.features)
+    return np.argmin(_class_score_table(fit.train, dists, fit.k), axis=1) + 1
+
+
+def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
+                  k_grid) -> dict:
+    """{K: accuracy on test} for every K in k_grid, all scored from one
+    test-to-train distance table."""
+    fits = [FitKnn(train=train, metric=metric, k=int(k)) for k in k_grid]
+    if test.n_features != train.n_features:
+        raise ValueError("test has %d features, train has %d"
+                         % (test.n_features, train.n_features))
+    dists = pairwise_sq(metric, test.features, train.features)
+    out = {}
+    for fit in fits:
+        pred = np.argmin(_class_score_table(train, dists, fit.k), axis=1) + 1
+        out[fit.k] = float(np.mean(pred == test.labels))
+    return out
 
 
 def accuracy(fit: FitKnn, test: Dataset) -> float:
     """Fraction of test samples whose prediction matches their label."""
-    if test.n_features != fit.train.n_features:
-        raise ValueError("test has %d features, train has %d"
-                         % (test.n_features, fit.train.n_features))
-    pred = predict_batch(fit, test.features)
-    return float(np.mean(pred == test.labels))
+    return accuracy_by_k(fit.train, fit.metric, test, (fit.k,))[fit.k]

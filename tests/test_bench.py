@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adaptnn import (Dataset, emit_report, load_config, load_registry,
                      parse_report, run_experiment, smooth_over_k,
                      stratified_split, save)
+import adaptnn.bench as bench
 from adaptnn.bench import AccuracyRecord, ExperimentConfig, cv_fold_ids
 from helpers import make_dataset
 
@@ -58,6 +61,32 @@ def test_run_experiment_deterministic(tmp_path):
     assert r1.accuracies == r2.accuracies
     assert (r1.alpha, r1.gamma, r1.k) == (r2.alpha, r2.gamma, r2.k)
     assert r1.acc_by_k == r2.acc_by_k
+
+
+@pytest.mark.parametrize("method,alpha_grid", [("ann_plus", (1.0, 4.0)),
+                                               ("ann_minus", (-1.0, -4.0))])
+def test_cv_builds_each_fold_once(tmp_path, monkeypatch, method, alpha_grid):
+    counts = {"nbrs": 0, "fits": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bench, "build_neighbor_sets",
+                        counted("nbrs", bench.build_neighbor_sets))
+    monkeypatch.setattr(bench, "train", counted("fits", bench.train))
+    _, path = _write_synthetic(tmp_path, np.random.default_rng(12), n=60)
+    cfg = ExperimentConfig(dataset="synth", path=path, method=method,
+                           alpha_grid=alpha_grid, gamma_grid=(1.0,),
+                           k_grid=(1, 3), repetitions=2, cv_folds=5,
+                           seed=3, max_iters=3)
+    run_experiment(cfg)
+    cells = len(cfg.alpha_grid) * len(cfg.gamma_grid)
+    # per repetition: one neighbor-set build per fold plus the final fit's
+    assert counts["nbrs"] == cfg.repetitions * (cfg.cv_folds + 1)
+    assert counts["fits"] == cfg.repetitions * (cells * cfg.cv_folds + 1)
 
 
 def test_euclidean_baseline_skips_training(tmp_path):
@@ -156,6 +185,54 @@ def test_emit_report_empty(tmp_path):
     out = tmp_path / "empty.jsonl"
     emit_report([], out)
     assert parse_report(out) == []
+
+
+def _record(**changes):
+    rec = AccuracyRecord(method="ann_plus", dataset="synth", alpha=4.0,
+                         gamma=0.5, k=7, accuracies=[0.9, 1.0], mean=0.95,
+                         std=0.05, wall_time_seconds=1.25,
+                         acc_by_k={1: 0.9, 4: 0.95}, extras={"note": [1.0]})
+    return dataclasses.replace(rec, **changes)
+
+
+def _dir_contents(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("changes", [
+    {"mean": float("nan")},
+    {"std": float("inf")},
+    {"acc_by_k": {1: 0.9, 4: float("nan")}},
+    {"extras": {"note": [float("nan")]}},
+])
+def test_emit_report_rejects_non_finite_and_keeps_existing(tmp_path, changes):
+    out = tmp_path / "r.jsonl"
+    emit_report([_record()], out)
+    before = _dir_contents(tmp_path)
+    with pytest.raises(ValueError):
+        emit_report([_record(alpha=1.0), _record(**changes)], out)
+    assert _dir_contents(tmp_path) == before
+    assert parse_report(out) == [_record()]
+
+
+def test_emit_report_failure_mid_write_keeps_existing(tmp_path, monkeypatch):
+    out = tmp_path / "r.jsonl"
+    emit_report([_record()], out)
+    before = _dir_contents(tmp_path)
+
+    def broken(acc_by_k):
+        raise OSError("disk full")
+
+    # the records file is already written when the curves file fails
+    monkeypatch.setattr(bench, "smooth_over_k", broken)
+    with pytest.raises(OSError):
+        emit_report([_record(alpha=1.0)], out)
+    for name, data in before.items():
+        assert (tmp_path / name).read_bytes() == data
+    monkeypatch.undo()
+    emit_report([_record(alpha=1.0)], out)
+    assert parse_report(out) == [_record(alpha=1.0)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
 
 def test_full_run_report_consistency(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adaptnn import (Dataset, FitKnn, MetricMatrix, accuracy, decision_score,
-                     predict, predict_batch)
+from adaptnn import (Dataset, FitKnn, MetricMatrix, accuracy, accuracy_by_k,
+                     decision_score, predict, predict_batch)
 from helpers import make_dataset, random_psd
 
 
@@ -114,6 +114,34 @@ def test_accuracy_in_unit_interval_and_dimension_check():
     bad = make_dataset(rng, n=10, d=4, classes=2)
     with pytest.raises(ValueError):
         accuracy(fit, bad)
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_accuracy_by_k_matches_per_k_predictions(classes):
+    rng = np.random.default_rng(20 + classes)
+    train = make_dataset(rng, n=24, d=3, classes=classes)
+    test = make_dataset(rng, n=17, d=3, classes=classes)
+    metric = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    smallest = min(train.class_indices(c).size for c in range(1, classes + 1))
+    # K = 1, K inside every class, K past the smallest class, K past them all
+    k_grid = sorted({1, smallest - 1, smallest + 2, train.n_samples + 5} - {0})
+    got = accuracy_by_k(train, metric, test, k_grid)
+    assert list(got) == k_grid
+    for k in k_grid:
+        fit = FitKnn(train=train, metric=metric, k=k)
+        pred = predict_batch(fit, test.features)
+        assert got[k] == float(np.mean(pred == test.labels))
+        assert accuracy(fit, test) == got[k]
+
+
+def test_accuracy_by_k_validates_inputs():
+    rng = np.random.default_rng(25)
+    train = make_dataset(rng, n=20, d=3, classes=3)
+    metric = MetricMatrix.identity(3)
+    with pytest.raises(ValueError):
+        accuracy_by_k(train, metric, make_dataset(rng, n=8, d=4, classes=3), (1, 3))
+    with pytest.raises(ValueError):
+        accuracy_by_k(train, metric, make_dataset(rng, n=8, d=3, classes=3), (1, 0))
 
 
 def test_tie_breaks_toward_smaller_class_id():
