@@ -13,11 +13,9 @@ package.
 from .core import (Dataset, HyperParams, MetricMatrix, NeighborSets,
                    TrainReport, validate)
 from .softagg import soft_agg, solve_gamma_star, topk_avg_largest, topk_avg_smallest
-from .metric import DistanceTable, distance_table, mahalanobis_sq, pairwise_sq, psd_project
-from .objective import (HingeLoss, IdentityLoss, SoftplusLoss, PerSampleTerms,
-                        ann_gradient, ann_objective, nca_objective,
-                        neighbor_weights, per_sample_terms, pnca_objective,
-                        soft_distances)
+from .metric import pairwise_sq, psd_project
+from .objective import (HingeLoss, IdentityLoss, SoftplusLoss, ann_gradient,
+                        ann_objective, nca_objective, pnca_objective)
 from .optimizer import DivergenceError, default_init, train
 from .classifier import (FitKnn, accuracy, accuracy_by_k, decision_score, predict,
                          predict_batch)

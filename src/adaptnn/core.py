@@ -101,6 +101,16 @@ class MetricMatrix:
         self.dim = sym.shape[0]
 
     @classmethod
+    def _trusted(cls, sym: np.ndarray) -> "MetricMatrix":
+        """Wrap a matrix that is exactly symmetric and PSD by construction
+        (the output of :func:`adaptnn.metric.psd_project`) without the
+        eigenvalue re-check; the stored matrix is the one __init__ would store."""
+        out = cls.__new__(cls)
+        out.m = _readonly(sym)
+        out.dim = sym.shape[0]
+        return out
+
+    @classmethod
     def identity(cls, d: int) -> "MetricMatrix":
         return cls(np.eye(d))
 

@@ -1,11 +1,11 @@
-"""Mahalanobis geometry: squared distances, per-neighbor distance tables, and
-projection onto the PSD cone."""
+"""Mahalanobis geometry: squared-distance tables and projection onto the PSD
+cone."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, MetricMatrix, NeighborSets
+from .core import MetricMatrix
 
 # Eigenvalues at or below this are dropped by the projection; numerically-PSD
 # matrices routinely carry eigenvalues dipping this far negative.
@@ -16,22 +16,6 @@ PROJECT_SYM_TOL = 1e-6
 
 def _as_array(m) -> np.ndarray:
     return m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
-
-
-def mahalanobis_sq(m, a, b) -> float:
-    """Squared distance (a-b)^T M (a-b); tiny negative rounding is clamped to 0.
-
-    Accepts a MetricMatrix or a plain square array (the latter is what the
-    finite-difference gradient checks perturb).
-    """
-    mm = _as_array(m)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.shape != (mm.shape[0],):
-        raise ValueError("dimension mismatch: M is %s, a is %s, b is %s"
-                         % (mm.shape, a.shape, b.shape))
-    diff = a - b
-    return max(float(diff @ mm @ diff), 0.0)
 
 
 def pairwise_sq(m, x, y=None) -> np.ndarray:
@@ -52,33 +36,13 @@ def pairwise_sq(m, x, y=None) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-class DistanceTable:
-    """Distances from each inquiry sample to its S_i and D_i members, in the
-    index-set ordering."""
-
-    __slots__ = ("similar", "dissimilar")
-
-    def __init__(self, similar, dissimilar):
-        self.similar = similar
-        self.dissimilar = dissimilar
-
-
-def distance_table(m, data: Dataset, nbrs: NeighborSets) -> DistanceTable:
-    """Batch d_M(x_i, x_j) over every j in S_i and l in D_i."""
-    if nbrs.n_samples != data.n_samples:
-        raise ValueError("neighbor sets cover %d samples, dataset has %d"
-                         % (nbrs.n_samples, data.n_samples))
-    full = pairwise_sq(m, data.features)
-    sim = tuple(full[i, s] for i, s in enumerate(nbrs.similar))
-    dis = tuple(full[i, d] for i, d in enumerate(nbrs.dissimilar))
-    return DistanceTable(sim, dis)
-
-
 def psd_project(m) -> MetricMatrix:
     """Project a symmetric matrix onto the PSD cone by eigenvalue clipping.
 
     Keeps only components with eigenvalue above ``EIG_DROP_TOL``; for
-    symmetric input this is the nearest PSD matrix in Frobenius norm.
+    symmetric input this is the nearest PSD matrix in Frobenius norm. The
+    result is exactly symmetric and PSD by construction, so it is wrapped
+    without a second eigendecomposition.
     """
     a = _as_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -92,4 +56,4 @@ def psd_project(m) -> MetricMatrix:
     w, u = np.linalg.eigh(sym)
     w = np.where(w > EIG_DROP_TOL, w, 0.0)
     out = (u * w) @ u.T
-    return MetricMatrix((out + out.T) / 2.0)
+    return MetricMatrix._trusted((out + out.T) / 2.0)

@@ -1,6 +1,5 @@
 """The adaptive nearest-neighbor (ANN) objective J(M), its analytic gradient,
-soft per-sample distances, softmax neighbor weights, loss functions, and the
-NCA/PNCA objectives.
+loss functions, and the NCA/PNCA objectives.
 
 Per sample i the model aggregates the similar-side distances into
 ds_i = b(alpha) and the dissimilar-side distances into dd_i = b(1) (soft
@@ -8,9 +7,11 @@ top-K averages), then penalizes ds_i exceeding dd_i:
 
     J(M) = sum_i loss((ds_i - dd_i) / gamma) + lam * sum_i sum_{j in S_i} d_M(x_i, x_j)
 
-The gradient is a weighted sum of pair outer products (x_i-x_j)(x_i-x_j)^T
-with softmax weights; it is accumulated as a weighted Gram matrix of the
-pair-difference rows, which keeps the per-pair cost at d^2.
+:class:`PairEvaluator` is the one place that turns (M, data, neighbor sets)
+into soft sides, J and its gradient. The gradient is a weighted sum of pair
+outer products (x_i-x_j)(x_i-x_j)^T with softmax weights; it is accumulated
+as a weighted Gram matrix of the pair-difference rows, which keeps the
+per-pair cost at d^2.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, HyperParams, NeighborSets
-from .metric import mahalanobis_sq, pairwise_sq
-from .softagg import soft_agg
+from .core import Dataset, HyperParams, MetricMatrix, NeighborSets
+from .metric import pairwise_sq
 
 
 # ---------------------------------------------------------------------------
@@ -98,81 +98,36 @@ def _sigmoid(z):
 
 
 # ---------------------------------------------------------------------------
-# Per-sample reference operations
-
-
-def neighbor_weights(distances, alpha: float) -> np.ndarray:
-    """softmax(-alpha * distances), computed with a max shift; sums to 1.
-
-    The dissimilar side uses alpha = 1.
-    """
-    d = np.asarray(distances, dtype=float)
-    if d.size == 0:
-        raise ValueError("distances must be non-empty")
-    z = -alpha * d
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def soft_distances(m, data: Dataset, nbrs: NeighborSets, alpha: float, i: int):
-    """(ds_i, dd_i): soft aggregates of the similar/dissimilar distance lists.
-
-    ds_i = b(alpha) over {d_M(x_i, x_j) : j in S_i} and dd_i = b(1) over D_i,
-    both via the shifted log-sum-exp in :func:`adaptnn.softagg.soft_agg`.
-    """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    x = data.features
-    sim = [mahalanobis_sq(m, x[i], x[j]) for j in nbrs.similar[i]]
-    dis = [mahalanobis_sq(m, x[i], x[l]) for l in nbrs.dissimilar[i]]
-    return soft_agg(sim, alpha), soft_agg(dis, 1.0)
-
-
-@dataclass(frozen=True)
-class PerSampleTerms:
-    """Everything sample i contributes: soft distances, the loss derivative
-    factor xi, and the softmax weights over S_i and D_i."""
-
-    ds: float
-    dd: float
-    xi: float
-    ws: np.ndarray
-    wd: np.ndarray
-
-
-def per_sample_terms(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams,
-                     i: int) -> PerSampleTerms:
-    x = data.features
-    sim = np.array([mahalanobis_sq(m, x[i], x[j]) for j in nbrs.similar[i]])
-    dis = np.array([mahalanobis_sq(m, x[i], x[l]) for l in nbrs.dissimilar[i]])
-    ds = soft_agg(sim, hp.alpha)
-    dd = soft_agg(dis, 1.0)
-    xi = float(hp.loss.derivative((ds - dd) / hp.gamma)) / hp.gamma
-    return PerSampleTerms(ds=ds, dd=dd, xi=xi,
-                          ws=neighbor_weights(sim, hp.alpha),
-                          wd=neighbor_weights(dis, 1.0))
-
-
-# ---------------------------------------------------------------------------
 # Vectorized evaluation over flattened neighbor pairs
 
 
-def _segment_lse(vals: np.ndarray, ptr: np.ndarray, counts: np.ndarray):
-    """Per-segment log-sum-exp with max shift; segments are CSR slices of
-    vals and are guaranteed non-empty."""
+def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarray):
+    """Soft aggregate b(a) of each CSR segment of q (segments are non-empty),
+    computed as :func:`adaptnn.softagg.soft_agg` does.
+
+    Returns (b, e, total): e = exp(-a (q - shift)) per entry and total its
+    per-segment sum, so e / total is each entry's softmax weight.
+    """
     starts = ptr[:-1]
-    seg_max = np.maximum.reduceat(vals, starts)
-    seg_sum = np.add.reduceat(np.exp(vals - np.repeat(seg_max, counts)), starts)
-    return seg_max + np.log(seg_sum)
+    lo = np.minimum.reduceat(q, starts)
+    hi = np.maximum.reduceat(q, starts)
+    shift = lo if a > 0 else hi
+    e = np.exp(-a * (q - np.repeat(shift, counts)))
+    total = np.add.reduceat(e, starts)
+    b = shift - np.log(total / counts) / a
+    # the shift bounds b on one side; clamp float drift on the other
+    b = np.minimum(b, hi) if a > 0 else np.maximum(b, lo)
+    return b, e, total
 
 
 class PairEvaluator:
-    """Objective/gradient evaluator with the pair-difference rows gathered
-    once up front; the per-call work is then a weighted Gram matrix.
+    """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
-    Reuse one instance across optimizer iterations: the differences depend
-    only on (data, nbrs), never on the metric.
+    The pair-difference rows are gathered once up front, so the per-call work
+    is a weighted Gram matrix. Reuse one instance across optimizer
+    iterations: the differences depend only on (data, nbrs), never on the
+    metric. Every method accepts a MetricMatrix or a raw square array (needed
+    by finite-difference checks, which step off the PSD cone).
     """
 
     def __init__(self, data: Dataset, nbrs: NeighborSets, hp: HyperParams):
@@ -188,36 +143,38 @@ class PairEvaluator:
         self.sim_counts = np.diff(nbrs.sim_ptr)
         self.dis_counts = np.diff(nbrs.dis_ptr)
 
-    def _quadforms(self, mm):
+    def _quadforms(self, m):
+        mm = m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
         q_s = np.einsum("pi,pi->p", self.diff_s @ mm, self.diff_s)
         q_d = np.einsum("pi,pi->p", self.diff_d @ mm, self.diff_d)
         return np.maximum(q_s, 0.0), np.maximum(q_d, 0.0)
 
     def _soft_sides(self, q_s, q_d):
-        hp = self.hp
-        lse_s = _segment_lse(-hp.alpha * q_s, self.sim_ptr, self.sim_counts)
-        lse_d = _segment_lse(-q_d, self.dis_ptr, self.dis_counts)
-        ds = -(lse_s - np.log(self.sim_counts)) / hp.alpha
-        dd = -(lse_d - np.log(self.dis_counts))
-        return ds, dd, lse_s, lse_d
+        sim = _segment_soft_agg(q_s, self.hp.alpha, self.sim_ptr, self.sim_counts)
+        dis = _segment_soft_agg(q_d, 1.0, self.dis_ptr, self.dis_counts)
+        return sim, dis
+
+    def soft_sides(self, m):
+        """(ds, dd): per-sample soft aggregates b(alpha) over the similar-side
+        distances and b(1) over the dissimilar-side distances."""
+        (ds, _, _), (dd, _, _) = self._soft_sides(*self._quadforms(m))
+        return ds, dd
 
     def objective(self, m) -> float:
-        mm = m.m if hasattr(m, "m") else np.asarray(m, dtype=float)
-        q_s, q_d = self._quadforms(mm)
-        ds, dd, _, _ = self._soft_sides(q_s, q_d)
+        q_s, q_d = self._quadforms(m)
+        (ds, _, _), (dd, _, _) = self._soft_sides(q_s, q_d)
         u = (ds - dd) / self.hp.gamma
         return float(self.hp.loss.value(u).sum()) + self.hp.lam * float(q_s.sum())
 
     def gradient(self, m) -> np.ndarray:
-        mm = m.m if hasattr(m, "m") else np.asarray(m, dtype=float)
         hp = self.hp
-        q_s, q_d = self._quadforms(mm)
-        ds, dd, lse_s, lse_d = self._soft_sides(q_s, q_d)
+        q_s, q_d = self._quadforms(m)
+        (ds, e_s, tot_s), (dd, e_d, tot_d) = self._soft_sides(q_s, q_d)
         u = (ds - dd) / hp.gamma
         xi = hp.loss.derivative(u) / hp.gamma
-        # softmax weight of each pair inside its own segment
-        r_s = np.exp(-hp.alpha * q_s - np.repeat(lse_s, self.sim_counts))
-        r_d = np.exp(-q_d - np.repeat(lse_d, self.dis_counts))
+        # softmax weight of each pair inside its own segment (in place)
+        r_s = np.divide(e_s, np.repeat(tot_s, self.sim_counts), out=e_s)
+        r_d = np.divide(e_d, np.repeat(tot_d, self.dis_counts), out=e_d)
         w_s = xi[self.sim_owner] * r_s + hp.lam
         w_d = xi[self.dis_owner] * r_d
         grad = ((self.diff_s * w_s[:, None]).T @ self.diff_s
@@ -227,11 +184,7 @@ class PairEvaluator:
 
 def ann_objective(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> float:
     """J(M) = sum_i loss((ds_i - dd_i)/gamma) + lam * sum of similar-side
-    distances.
-
-    Accepts a MetricMatrix or a raw square array (needed by finite-difference
-    checks, which step off the PSD cone).
-    """
+    distances, through a one-off :class:`PairEvaluator`."""
     return PairEvaluator(data, nbrs, hp).objective(m)
 
 
@@ -272,9 +225,8 @@ def pnca_objective(m, data: Dataset, nbrs: NeighborSets, alpha: float) -> float:
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    ev = PairEvaluator(data, nbrs, HyperParams(alpha=alpha))
-    mm = m.m if hasattr(m, "m") else np.asarray(m, dtype=float)
-    q_s, q_d = ev._quadforms(mm)
-    log_a = _segment_lse(-alpha * q_s, nbrs.sim_ptr, ev.sim_counts) / alpha
-    log_b = _segment_lse(-q_d, nbrs.dis_ptr, ev.dis_counts)
+    ds, dd = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).soft_sides(m)
+    # ln A_i = ln|S_i|/alpha - ds_i and ln B_i = ln|D_i| - dd_i
+    log_a = np.log(np.diff(nbrs.sim_ptr)) / alpha - ds
+    log_b = np.log(np.diff(nbrs.dis_ptr)) - dd
     return float(_sigmoid(log_a - log_b).sum())

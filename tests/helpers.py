@@ -1,8 +1,12 @@
-"""Shared test fixtures: random labeled instances and PSD matrices."""
+"""Shared test fixtures: random labeled instances and PSD matrices, plus the
+per-sample reference path (one pair and one sample at a time) that tests
+compare the vectorized PairEvaluator against."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from adaptnn import Dataset, build_neighbor_sets
+from adaptnn import Dataset, MetricMatrix, build_neighbor_sets, soft_agg
 
 
 def make_dataset(rng, n=15, d=4, classes=2, scale=1.0):
@@ -25,3 +29,75 @@ def make_instance(rng, n=15, d=4, classes=2, mode="all_same_class", k0=10):
 def random_psd(rng, d, jitter=0.0):
     a = rng.normal(size=(d, d))
     return a @ a.T + jitter * np.eye(d)
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference oracle
+
+
+def mahalanobis_sq(m, a, b) -> float:
+    """Squared distance (a-b)^T M (a-b); tiny negative rounding is clamped to 0.
+
+    Accepts a MetricMatrix or a plain square array.
+    """
+    mm = m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.shape != (mm.shape[0],):
+        raise ValueError("dimension mismatch: M is %s, a is %s, b is %s"
+                         % (mm.shape, a.shape, b.shape))
+    diff = a - b
+    return max(float(diff @ mm @ diff), 0.0)
+
+
+def neighbor_weights(distances, alpha: float) -> np.ndarray:
+    """softmax(-alpha * distances), computed with a max shift; sums to 1.
+
+    The dissimilar side uses alpha = 1.
+    """
+    d = np.asarray(distances, dtype=float)
+    if d.size == 0:
+        raise ValueError("distances must be non-empty")
+    z = -alpha * d
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def side_distances(m, data, nbrs, i):
+    """(similar, dissimilar): d_M(x_i, x_j) over S_i and over D_i."""
+    x = data.features
+    sim = np.array([mahalanobis_sq(m, x[i], x[j]) for j in nbrs.similar[i]])
+    dis = np.array([mahalanobis_sq(m, x[i], x[l]) for l in nbrs.dissimilar[i]])
+    return sim, dis
+
+
+def soft_distances(m, data, nbrs, alpha, i):
+    """(ds_i, dd_i): soft_agg of the similar list at alpha and of the
+    dissimilar list at 1."""
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    sim, dis = side_distances(m, data, nbrs, i)
+    return soft_agg(sim, alpha), soft_agg(dis, 1.0)
+
+
+@dataclass(frozen=True)
+class PerSampleTerms:
+    """Everything sample i contributes: soft distances, the loss derivative
+    factor xi, and the softmax weights over S_i and D_i."""
+
+    ds: float
+    dd: float
+    xi: float
+    ws: np.ndarray
+    wd: np.ndarray
+
+
+def per_sample_terms(m, data, nbrs, hp, i) -> PerSampleTerms:
+    sim, dis = side_distances(m, data, nbrs, i)
+    ds = soft_agg(sim, hp.alpha)
+    dd = soft_agg(dis, 1.0)
+    xi = float(hp.loss.derivative((ds - dd) / hp.gamma)) / hp.gamma
+    return PerSampleTerms(ds=ds, dd=dd, xi=xi,
+                          ws=neighbor_weights(sim, hp.alpha),
+                          wd=neighbor_weights(dis, 1.0))

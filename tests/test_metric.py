@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from adaptnn import (Dataset, MetricMatrix, NeighborSets, distance_table,
-                     mahalanobis_sq, psd_project)
-from helpers import random_psd
+from adaptnn import MetricMatrix, pairwise_sq, psd_project
+from helpers import mahalanobis_sq, random_psd
 
 
 def test_euclidean_squared_norm():
@@ -46,36 +45,29 @@ def test_linearity_in_metric():
 
 
 def test_distance_table_single_pair():
-    ds = Dataset([[0.0, 0.0], [3.0, 4.0]], [1, 2])
-    ns = NeighborSets([[1], [0]], [[1], [0]])
-    table = distance_table(MetricMatrix.identity(2), ds, ns)
-    assert table.similar[0].tolist() == [25.0]
-    assert table.dissimilar[1].tolist() == [25.0]
+    table = pairwise_sq(MetricMatrix.identity(2), [[0.0, 0.0], [3.0, 4.0]])
+    assert table.tolist() == [[0.0, 25.0], [25.0, 0.0]]
 
 
 def test_distance_table_duplicate_points():
-    ds = Dataset([[1.0], [1.0], [5.0]], [1, 1, 2])
-    ns = NeighborSets([[1], [0], [0]], [[2], [2], [1]])
-    table = distance_table(MetricMatrix.identity(1), ds, ns)
-    assert table.similar[0][0] == 0.0
+    X = [[1.0], [1.0], [5.0]]
+    table = pairwise_sq(MetricMatrix.identity(1), X)
+    assert table[0, 1] == 0.0 and table[1, 0] == 0.0
+    assert table[0, 2] == 16.0
 
 
 def test_distance_table_matches_pairwise_oracle():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(5, 3))
-    y = np.array([1, 1, 2, 2, 2])
-    ds = Dataset(X, y)
-    ns = NeighborSets([[1], [0], [3, 4], [2, 4], [2, 3]],
-                      [[2, 3, 4], [2, 3, 4], [0, 1], [0, 1], [0, 1]])
+    Y = rng.normal(size=(4, 3))
     m = MetricMatrix(random_psd(rng, 3, jitter=0.2))
-    table = distance_table(m, ds, ns)
-    for i in range(5):
-        for pos, j in enumerate(ns.similar[i]):
-            assert table.similar[i][pos] == pytest.approx(
-                mahalanobis_sq(m, X[i], X[j]), abs=1e-10)
-        for pos, l in enumerate(ns.dissimilar[i]):
-            assert table.dissimilar[i][pos] == pytest.approx(
-                mahalanobis_sq(m, X[i], X[l]), abs=1e-10)
+    for rows, cols in ((X, None), (X, Y)):
+        table = pairwise_sq(m, rows, cols)
+        cols = rows if cols is None else cols
+        assert table.shape == (len(rows), len(cols))
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                assert table[i, j] == pytest.approx(mahalanobis_sq(m, a, b), abs=1e-10)
 
 
 def test_psd_project_drops_negative_eigenvalue():
@@ -109,6 +101,16 @@ def test_psd_project_nearest_in_frobenius():
         oracle = (u * np.maximum(w, 0.0)) @ u.T
         out = psd_project(sym)
         assert np.abs(out.m - oracle).max() <= 1e-10
+
+
+def test_psd_project_output_needs_no_recheck():
+    # the trusted wrap stores exactly what the checked constructor would
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = rng.normal(size=(6, 6))
+        out = psd_project((a + a.T) / 2)
+        assert np.array_equal(out.m, MetricMatrix(out.m).m)
+        assert not out.m.flags.writeable and out.dim == 6
 
 
 def test_psd_project_rejects_asymmetric_and_nonfinite():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptnn import (Dataset, HingeLoss, HyperParams, IdentityLoss, MetricMatrix,
                      NeighborSets, SoftplusLoss, ann_gradient, ann_objective,
-                     build_neighbor_sets, nca_objective, neighbor_weights,
-                     per_sample_terms, pnca_objective, soft_agg, soft_distances,
-                     mahalanobis_sq)
-from helpers import make_instance, random_psd
+                     build_neighbor_sets, nca_objective, pnca_objective, soft_agg)
+from adaptnn.objective import PairEvaluator
+from helpers import (mahalanobis_sq, make_instance, neighbor_weights,
+                     per_sample_terms, random_psd, side_distances, soft_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,7 @@ def test_softplus_loss_matches_limits():
 
 
 # ---------------------------------------------------------------------------
-# neighbor weights
+# neighbor weights (the per-sample oracle in helpers)
 
 
 def test_weights_uniform_on_equal_distances():
@@ -73,7 +74,11 @@ def test_weights_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# soft distances
+# soft distances: PairEvaluator.soft_sides
+
+
+def _soft_sides(m, data, nbrs, alpha):
+    return PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).soft_sides(m)
 
 
 def test_soft_distances_constant_collapse():
@@ -83,9 +88,9 @@ def test_soft_distances_constant_collapse():
     ns = build_neighbor_sets(ds)
     m = MetricMatrix.identity(1)
     for alpha in (0.5, -4.0):
-        s, d = soft_distances(m, ds, ns, alpha, 0)
-        assert s == pytest.approx(0.0, abs=1e-12)
-        assert d == pytest.approx(9.0, abs=1e-12)
+        s, d = _soft_sides(m, ds, ns, alpha)
+        assert s == pytest.approx(np.zeros(4), abs=1e-12)
+        assert d == pytest.approx(np.full(4, 9.0), abs=1e-12)
 
 
 def test_soft_distances_alpha_to_minus_inf_is_max():
@@ -94,8 +99,8 @@ def test_soft_distances_alpha_to_minus_inf_is_max():
     ns = build_neighbor_sets(ds)
     m = MetricMatrix.identity(1)
     # similar-side distances from sample 0 are {1, 2, 3}
-    s, _ = soft_distances(m, ds, ns, -1e4, 0)
-    assert s == pytest.approx(3.0, abs=1e-2)  # ln(3)/1e4 bias remains
+    s, _ = _soft_sides(m, ds, ns, -1e4)
+    assert s[0] == pytest.approx(3.0, abs=1e-2)  # ln(3)/1e4 bias remains
 
 
 def test_soft_distances_match_composition_oracle():
@@ -103,14 +108,11 @@ def test_soft_distances_match_composition_oracle():
     data, nbrs = make_instance(rng, n=12, d=3, classes=2)
     m = MetricMatrix(random_psd(rng, 3, jitter=0.1))
     for alpha in (2.0, -2.0, 0.3):
+        s, d = _soft_sides(m, data, nbrs, alpha)
         for i in range(data.n_samples):
-            s, d = soft_distances(m, data, nbrs, alpha, i)
-            sim = [mahalanobis_sq(m, data.features[i], data.features[j])
-                   for j in nbrs.similar[i]]
-            dis = [mahalanobis_sq(m, data.features[i], data.features[l])
-                   for l in nbrs.dissimilar[i]]
-            assert s == pytest.approx(soft_agg(sim, alpha), abs=1e-12)
-            assert d == pytest.approx(soft_agg(dis, 1.0), abs=1e-12)
+            sim, dis = side_distances(m, data, nbrs, i)
+            assert s[i] == pytest.approx(soft_agg(sim, alpha), abs=1e-12)
+            assert d[i] == pytest.approx(soft_agg(dis, 1.0), abs=1e-12)
 
 
 def test_soft_distance_bounds():
@@ -118,11 +120,65 @@ def test_soft_distance_bounds():
     data, nbrs = make_instance(rng, n=14, d=4, classes=3)
     m = MetricMatrix(random_psd(rng, 4, jitter=0.1))
     for alpha in (5.0, -5.0, 0.01):
+        s, _ = _soft_sides(m, data, nbrs, alpha)
         for i in range(data.n_samples):
-            s, _ = soft_distances(m, data, nbrs, alpha, i)
-            sim = [mahalanobis_sq(m, data.features[i], data.features[j])
-                   for j in nbrs.similar[i]]
-            assert min(sim) - 1e-12 <= s <= max(sim) + 1e-12
+            sim, _ = side_distances(m, data, nbrs, i)
+            assert min(sim) - 1e-12 <= s[i] <= max(sim) + 1e-12
+
+
+@st.composite
+def _edge_instances(draw):
+    """Small instances at the edges the (alpha, gamma) grids reach.
+
+    Features and metric entries are integers times a power of two, so every
+    squared distance is exact and the evaluator and the oracle aggregate the
+    very same sets; the [min, max] bounds then need no tolerance.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    classes = draw(st.integers(2, 3))
+    n = draw(st.integers(2 * classes, 12))
+    d = draw(st.integers(1, 4))
+    labels = rng.permutation(np.arange(n) % classes + 1)
+    # unit scale puts squared distances past 1e4; at 2^-30 they carry bits
+    # below the ulp of ln|S_i|, which the log-sum-exp rounds away
+    x = rng.integers(-50, 51, size=(n, d)) * draw(st.sampled_from([2.0 ** -30, 2.0 ** -10, 1.0]))
+    if draw(st.booleans()):  # duplicate samples: class 1 collapses to a point
+        x[labels == 1] = x[np.flatnonzero(labels == 1)[0]]
+    if draw(st.booleans()):  # a constant feature column
+        x[:, 0] = 3.0
+    data = Dataset(x, labels)
+    mode = draw(st.sampled_from(["all_same_class", "knn_same_class"]))
+    nbrs = build_neighbor_sets(data, mode=mode, k0=3)
+    a = rng.integers(-2, 3, size=(d, d)).astype(float)
+    m = a @ a.T if draw(st.booleans()) else np.zeros((d, d))
+    return data, nbrs, m
+
+
+@settings(derandomize=True, deadline=None)
+@given(inst=_edge_instances(),
+       alpha=st.sampled_from([2.0 ** 10, -2.0 ** 10, 2.0 ** -9, -2.0 ** -9]))
+def test_soft_sides_edge_properties(inst, alpha):
+    data, nbrs, m = inst
+    ds, dd = _soft_sides(m, data, nbrs, alpha)
+    for i in range(data.n_samples):
+        sim, dis = side_distances(m, data, nbrs, i)
+        for got, vals, a in ((ds[i], sim, alpha), (dd[i], dis, 1.0)):
+            assert np.isfinite(got)
+            assert vals.min() <= got <= vals.max()
+            # same shifted arithmetic as soft_agg; only the summation order
+            # and the log's last bit differ
+            tol = 8 * np.finfo(float).eps * (vals.max() + vals.size / abs(a))
+            assert got == pytest.approx(soft_agg(vals, a), rel=0.0, abs=tol)
+
+
+def test_soft_sides_clamp_float_drift():
+    # similar distances from sample 0 are {1, 1+u, 1+u, 1+u} with u = 2^-52;
+    # unclamped, the shifted log-sum-exp lands one ulp above their maximum
+    t = 2.0 ** -26
+    X = [[0.0, 0.0], [1.0, 0.0], [1.0, t], [1.0, t], [1.0, t], [10.0, 0.0], [11.0, 0.0]]
+    data = Dataset(X, [1, 1, 1, 1, 1, 2, 2])
+    s, _ = _soft_sides(MetricMatrix.identity(2), data, build_neighbor_sets(data), 0.3)
+    assert 1.0 <= s[0] <= 1.0 + 2.0 ** -52
 
 
 def test_soft_distance_monotone_improvement():
@@ -185,9 +241,7 @@ def test_objective_matches_per_sample_recomputation():
     for i in range(data.n_samples):
         s, d = soft_distances(m, data, nbrs, hp.alpha, i)
         total += (s - d) / hp.gamma
-        total += hp.lam * sum(
-            mahalanobis_sq(m, data.features[i], data.features[j])
-            for j in nbrs.similar[i])
+        total += hp.lam * side_distances(m, data, nbrs, i)[0].sum()
     assert ann_objective(m, data, nbrs, hp) == pytest.approx(total, rel=1e-10)
 
 
@@ -261,6 +315,27 @@ def test_gradient_matches_finite_differences():
         fd = _fd_gradient(m, data, nbrs, hp)
         denom = np.maximum(np.abs(fd), 1e-8 * (1 + np.abs(fd).max()))
         assert (np.abs(analytic - fd) / denom).max() <= 1e-4
+
+
+@pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
+@pytest.mark.parametrize("loss", [HingeLoss(1.0), IdentityLoss(),
+                                  SoftplusLoss(margin=0.5, sharpness=2.0)])
+@pytest.mark.parametrize("alpha", [2.0, -2.0, 0.3])
+def test_gradient_matches_per_sample_oracle(alpha, loss, mode):
+    rng = np.random.default_rng(13)
+    data, nbrs = make_instance(rng, n=14, d=3, classes=3, mode=mode, k0=3)
+    m = random_psd(rng, 3, jitter=0.1)
+    hp = HyperParams(alpha=alpha, gamma=1.5, lam=0.01, loss=loss)
+    x = data.features
+    expected = np.zeros((3, 3))
+    for i in range(data.n_samples):
+        t = per_sample_terms(m, data, nbrs, hp, i)
+        for w, j in zip(t.ws, nbrs.similar[i]):
+            expected += (t.xi * w + hp.lam) * np.outer(x[i] - x[j], x[i] - x[j])
+        for w, l in zip(t.wd, nbrs.dissimilar[i]):
+            expected -= t.xi * w * np.outer(x[i] - x[l], x[i] - x[l])
+    got = PairEvaluator(data, nbrs, hp).gradient(m)
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_gradient_exactly_symmetric():

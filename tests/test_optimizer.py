@@ -29,6 +29,24 @@ def test_stationary_point_never_moves():
     assert all(not acc for (it, _, _, acc) in report.objective_trace if it > 0)
 
 
+def test_one_eigendecomposition_per_step(monkeypatch):
+    # psd_project's eigh is the only one per iteration: its output is not
+    # re-checked with eigvalsh; default_init's construction checks once
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rng = np.random.default_rng(1)
+    data, nbrs = make_instance(rng, n=20, d=3, classes=2)
+    report = train(data, nbrs, HyperParams(alpha=2.0, max_iters=10))
+    assert report.iterations_run == 10
+    assert len(calls) == 1
+
+
 def test_step_size_follows_accept_reject_rule():
     rng = np.random.default_rng(0)
     data, nbrs = make_instance(rng, n=20, d=3, classes=2)
