@@ -4,6 +4,9 @@ The per-class score of a query is the average of its K smallest distances to
 that class; the predicted label is the argmin over classes (a one-vs-rest
 rule, with K capped at the class size). Scores scale linearly with the
 metric, so predictions are invariant under positive rescaling of M.
+
+Ties go to the smallest class id. Under the all-zero metric every distance
+and so every class score is 0, and every query is assigned class 1.
 """
 
 from __future__ import annotations

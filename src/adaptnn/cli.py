@@ -1,13 +1,11 @@
-"""Command-line entry points: run an experiment config, pretty-print a report,
-or run the built-in selftest suite."""
+"""Command-line entry points: run an experiment config or pretty-print a
+report."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import sys
-
-import numpy as np
 
 
 def _cmd_run(args) -> int:
@@ -43,106 +41,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_selftest(_args) -> int:
-    checks = [
-        ("soft aggregate limit laws", _check_limits),
-        ("gamma* solver consistency", _check_solver),
-        ("analytic vs finite-difference gradient", _check_gradient),
-        ("PSD projection idempotence", _check_projection),
-        ("K=1 prediction vs brute-force 1-NN", _check_knn),
-    ]
-    failures = 0
-    for name, fn in checks:
-        try:
-            fn()
-            print("[PASS] %s" % name)
-        except AssertionError as exc:
-            failures += 1
-            print("[FAIL] %s: %s" % (name, exc))
-    return 1 if failures else 0
-
-
-def _check_limits():
-    from .softagg import soft_agg
-
-    # the aggregate approaches min/max with an ln(n)/gamma bias, so the
-    # extreme-gamma checks need gamma >> ln(n)/tolerance
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        v = rng.uniform(-5, 5, size=rng.integers(2, 10))
-        spread = max(v.max() - v.min(), 1e-3)
-        assert abs(soft_agg(v, 1e-8) - v.mean()) < 1e-6
-        assert abs(soft_agg(v, 1e8 / spread) - v.min()) < 1e-4
-        assert abs(soft_agg(v, -1e8 / spread) - v.max()) < 1e-4
-
-
-def _check_solver():
-    from .softagg import soft_agg, solve_gamma_star, topk_avg_smallest
-
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        v = np.unique(rng.uniform(-4, 4, size=8))
-        for k in range(1, v.size):
-            g = solve_gamma_star(v, k, "smallest")
-            target = topk_avg_smallest(v, k)
-            assert np.isfinite(g) and abs(soft_agg(v, g) - target) <= 1e-8 * (1 + abs(target))
-
-
-def _check_gradient():
-    from .core import Dataset, HyperParams
-    from .data import build_neighbor_sets
-    from .objective import IdentityLoss, ann_gradient, ann_objective
-
-    rng = np.random.default_rng(13)
-    X = rng.normal(size=(12, 3))
-    y = rng.integers(1, 3, size=12)
-    y[:2] = [1, 2]
-    data = Dataset(X, y)
-    nbrs = build_neighbor_sets(data)
-    hp = HyperParams(alpha=2.0, gamma=1.0, lam=0.01, loss=IdentityLoss())
-    a = rng.normal(size=(3, 3))
-    m = a @ a.T + np.eye(3)
-    g = ann_gradient(m, data, nbrs, hp)
-    h = 1e-5
-    for p in range(3):
-        for q in range(3):
-            e = np.zeros((3, 3))
-            e[p, q] = h
-            fd = (ann_objective(m + e, data, nbrs, hp)
-                  - ann_objective(m - e, data, nbrs, hp)) / (2 * h)
-            assert abs(fd - g[p, q]) <= 1e-4 * max(1.0, abs(fd)), \
-                "entry (%d,%d): fd=%g analytic=%g" % (p, q, fd, g[p, q])
-
-
-def _check_projection():
-    from .metric import psd_project
-
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        a = rng.normal(size=(6, 6))
-        sym = (a + a.T) / 2
-        once = psd_project(sym)
-        assert np.linalg.eigvalsh(once.m).min() >= -1e-10
-        twice = psd_project(once.m)
-        assert np.abs(twice.m - once.m).max() <= 1e-10
-
-
-def _check_knn():
-    from .classifier import FitKnn, predict
-    from .core import Dataset, MetricMatrix
-
-    rng = np.random.default_rng(15)
-    X = rng.normal(size=(20, 4))
-    y = rng.integers(1, 4, size=20)
-    y[:3] = [1, 2, 3]
-    data = Dataset(X, y)
-    fit = FitKnn(train=data, metric=MetricMatrix.identity(4), k=1)
-    for _ in range(20):
-        q = rng.normal(size=4)
-        nearest = int(np.argmin(((X - q) ** 2).sum(axis=1)))
-        assert predict(fit, q) == y[nearest]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="adaptnn",
@@ -158,9 +56,6 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="pretty-print an emitted report")
     p_rep.add_argument("--in", dest="infile", required=True)
     p_rep.set_defaults(fn=_cmd_report)
-
-    p_self = sub.add_parser("selftest", help="run the built-in property checks")
-    p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
     return args.fn(args)

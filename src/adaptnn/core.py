@@ -146,6 +146,11 @@ class NeighborSets:
                 raise ValueError("empty neighbor set for sample %d" % i)
             if i in sim[i] or i in dis[i]:
                 raise ValueError("sample %d contained in its own neighbor set" % i)
+        self.sim_owner, self.sim_nbr, self.sim_ptr = self._flatten(sim)
+        self.dis_owner, self.dis_nbr, self.dis_ptr = self._flatten(dis)
+        for side, nbr in (("similar", self.sim_nbr), ("dissimilar", self.dis_nbr)):
+            if nbr.min(initial=0) < 0 or nbr.max(initial=-1) >= n:
+                raise ValueError("%s neighbor index out of range [0, %d)" % (side, n))
         if labels is not None:
             labels = np.asarray(labels)
             for i in range(n):
@@ -155,8 +160,6 @@ class NeighborSets:
                     raise ValueError("D_%d contains a same-class sample" % i)
         self.similar = sim
         self.dissimilar = dis
-        self.sim_owner, self.sim_nbr, self.sim_ptr = self._flatten(sim)
-        self.dis_owner, self.dis_nbr, self.dis_ptr = self._flatten(dis)
 
     @staticmethod
     def _flatten(sets):
@@ -189,7 +192,6 @@ class HyperParams:
     gamma: float = 1.0
     lam: float = 0.0
     loss: object = None  # defaults to HingeLoss(1.0); set in __post_init__
-    k_predict: int = 3
     max_iters: int = 100
     eta0: float = 1e-3
 
@@ -200,8 +202,6 @@ class HyperParams:
             raise ValueError("gamma must be > 0, got %g" % self.gamma)
         if self.lam < 0:
             raise ValueError("lam must be >= 0, got %g" % self.lam)
-        if self.k_predict < 1:
-            raise ValueError("k_predict must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.eta0 > 0:

@@ -23,7 +23,6 @@ import numpy as np
 from .core import Dataset, NeighborSets
 
 CONSTANT_COLUMN_TOL = 1e-12
-PCA_DEFAULT_TARGET = 150
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +145,12 @@ def save(dataset: Dataset, path, format: str = "delimited",
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Fitted normalization/PCA state; apply-functions reject unfitted ones."""
+    """Fitted normalization/PCA state; an apply-function rejects one that
+    lacks the fields it needs (not fitted for that transform)."""
 
     means: Optional[np.ndarray] = None
     stds: Optional[np.ndarray] = None
     pca_basis: Optional[np.ndarray] = None
-    fitted: bool = False
 
 
 def fit_zscore(data: Dataset) -> Preprocessor:
@@ -159,13 +158,13 @@ def fit_zscore(data: Dataset) -> Preprocessor:
     X = data.features
     means = X.mean(axis=0)
     stds = X.std(axis=0, ddof=1)
-    return Preprocessor(means=means, stds=stds, fitted=True)
+    return Preprocessor(means=means, stds=stds)
 
 
 def apply_zscore(p: Preprocessor, data: Dataset) -> Dataset:
     """(x - mean) / std per column; near-constant columns (std below
     CONSTANT_COLUMN_TOL) are centered but not divided."""
-    if not p.fitted or p.stds is None:
+    if p.means is None or p.stds is None:
         raise ValueError("preprocessor not fitted for z-scoring")
     X = data.features - p.means
     divisor = np.where(p.stds < CONSTANT_COLUMN_TOL, 1.0, p.stds)
@@ -182,7 +181,7 @@ def fit_pca(data: Dataset, target_dim: int) -> Preprocessor:
     if target_dim < 1:
         raise ValueError("target_dim must be >= 1")
     if d <= target_dim:
-        return Preprocessor(means=np.zeros(d), pca_basis=np.eye(d), fitted=True)
+        return Preprocessor(means=np.zeros(d), pca_basis=np.eye(d))
     X = data.features
     means = X.mean(axis=0)
     xc = X - means
@@ -192,11 +191,11 @@ def fit_pca(data: Dataset, target_dim: int) -> Preprocessor:
     basis = u[:, order]
     flip = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])] < 0
     basis = basis * np.where(flip, -1.0, 1.0)
-    return Preprocessor(means=means, pca_basis=basis, fitted=True)
+    return Preprocessor(means=means, pca_basis=basis)
 
 
 def apply_pca(p: Preprocessor, data: Dataset) -> Dataset:
-    if not p.fitted or p.pca_basis is None:
+    if p.means is None or p.pca_basis is None:
         raise ValueError("preprocessor not fitted for PCA")
     if p.pca_basis.shape == (data.n_features, data.n_features) and \
             np.array_equal(p.pca_basis, np.eye(data.n_features)):

@@ -148,3 +148,11 @@ def test_tie_breaks_toward_smaller_class_id():
     ds = Dataset([[0.0], [2.0], [0.0], [2.0]], [1, 1, 2, 2])
     fit = FitKnn(train=ds, metric=MetricMatrix.identity(1), k=2)
     assert predict(fit, [1.0]) == 1
+    # the zero metric ties every class score at 0: every query goes to class 1
+    rng = np.random.default_rng(5)
+    train, test = (make_dataset(rng, n=n, d=3, classes=3) for n in (30, 20))
+    zero = MetricMatrix(np.zeros((3, 3)))
+    assert predict_batch(FitKnn(train=train, metric=zero, k=3),
+                         test.features).tolist() == [1] * 20
+    share = float(np.mean(test.labels == 1))
+    assert accuracy_by_k(train, zero, test, (1, 5)) == {1: share, 5: share}

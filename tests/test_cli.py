@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import adaptnn
 from adaptnn import Dataset, save
 from adaptnn.cli import main
 
@@ -45,7 +51,12 @@ def test_run_seed_override(tmp_path):
     assert r1.acc_by_k == r2.acc_by_k
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    text = capsys.readouterr().out
-    assert text.count("[PASS]") == 5 and "[FAIL]" not in text
+def test_module_entry_point_lists_subcommands():
+    # `python -m adaptnn` runs __main__.py against the same package import
+    src = Path(adaptnn.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "adaptnn", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "{run,report}" in out.stdout
+    assert "selftest" not in out.stdout

@@ -78,14 +78,23 @@ def test_neighbor_sets_validation():
         NeighborSets([[2], [0], [0]], [[2], [2], [0]], labels=labels)
     with pytest.raises(ValueError, match="same-class"):
         NeighborSets([[1], [0], [0]], [[1], [2], [0]], labels=labels)
+    # -1 would alias sample 3 itself; 7 is past N = 4
+    labels = [1, 1, 2, 2]
+    with pytest.raises(ValueError, match="out of range"):
+        NeighborSets([[1], [0], [3], [-1]], [[2], [3], [0], [1]], labels=labels)
+    with pytest.raises(ValueError, match="out of range"):
+        NeighborSets([[1], [0], [3], [7]], [[2], [3], [0], [1]], labels=labels)
+    with pytest.raises(ValueError, match="out of range"):
+        NeighborSets([[1], [0], [3], [2]], [[2], [3], [0], [4]], labels=labels)
 
 
 def test_neighbor_sets_flat_arrays():
-    ns = NeighborSets([[1, 2], [0], [0, 1]], [[3], [3], [3]])
+    ns = NeighborSets([[1, 2], [0], [0, 1]], [[2], [0], [1]])
     assert ns.sim_owner.tolist() == [0, 0, 1, 2, 2]
     assert ns.sim_nbr.tolist() == [1, 2, 0, 0, 1]
     assert ns.sim_ptr.tolist() == [0, 2, 3, 5]
     assert ns.dis_ptr.tolist() == [0, 1, 2, 3]
+    assert ns.dis_nbr.tolist() == [2, 0, 1]
 
 
 def test_hyperparams_validation():

@@ -1,10 +1,10 @@
 """Fixed-seed regression anchor: two reduced shipped configs must reproduce
 their full records exactly.
 
-The expected values were captured from the combo-outer cross-validation
-sweep (one neighbor-set build and one distance table per grid cell and K).
-Any refactor of the harness, classifier or optimizer must leave them
-bit-identical. Both configs have two grid cells, so the cross-validated
+The expected values are the records these configs produce at their fixed
+seed. Any refactor of the harness, classifier or optimizer must leave them
+bit-identical; a change that alters them is a change of results, not a
+refactor. Both configs have two grid cells, so the cross-validated
 selection runs rather than short-circuiting on a single cell.
 """
 

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from adaptnn import (Dataset, DivergenceError, HingeLoss, HyperParams,
-                     IdentityLoss, MetricMatrix, build_neighbor_sets,
-                     default_init, train)
+                     IdentityLoss, MetricMatrix, apply_zscore,
+                     build_neighbor_sets, default_init, fit_zscore, load, train)
 from helpers import make_instance
+
+IRIS = Path(__file__).resolve().parent.parent / "datasets" / "iris.csv"
 
 
 def test_default_init_values():
@@ -45,6 +49,31 @@ def test_one_eigendecomposition_per_step(monkeypatch):
     report = train(data, nbrs, HyperParams(alpha=2.0, max_iters=10))
     assert report.iterations_run == 10
     assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def zscored_iris():
+    raw = load(IRIS)
+    return apply_zscore(fit_zscore(raw), raw)
+
+
+@pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
+@pytest.mark.parametrize("gamma", [2.0 ** -9, 2.0 ** 10])
+@pytest.mark.parametrize("alpha", [2.0 ** -9, -2.0 ** -9, 2.0 ** 10, -2.0 ** 10])
+def test_train_at_grid_edges(zscored_iris, alpha, gamma, mode):
+    # the extreme alpha/gamma the full grids reach: train must not diverge,
+    # must only accept decreasing finite objectives and must stay PSD
+    data = zscored_iris
+    nbrs = build_neighbor_sets(data, mode=mode)
+    hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / data.n_samples ** 2,
+                     max_iters=40)
+    report = train(data, nbrs, hp, default_init(data))
+    accepted = report.accepted_objectives()
+    assert np.all(np.isfinite(accepted))
+    assert all(a > b for a, b in zip(accepted, accepted[1:]))
+    m = report.final_metric.m
+    assert np.abs(m - m.T).max() <= 1e-9
+    assert np.linalg.eigvalsh(m).min() >= -1e-10
 
 
 def test_step_size_follows_accept_reject_rule():
