@@ -218,12 +218,18 @@ class TrainReport:
     objective_trace holds one (iteration, objective, step_size, accepted)
     entry per iteration, with iteration 0 recording the initial objective.
     Accepted entries are strictly decreasing in objective value.
+
+    stop_reason says why the loop ended: "max_iters" (every iteration ran),
+    "eta_floor" (the step size fell below the floor) or "rejection_cap" (too
+    many consecutive rejected candidates); "eta_floor" wins when both of the
+    last two hold at the same iteration.
     """
 
     final_metric: MetricMatrix
     objective_trace: tuple
     iterations_run: int
     wall_time_seconds: float
+    stop_reason: str
 
     def accepted_objectives(self) -> list:
         return [j for (_, j, _, acc) in self.objective_trace if acc]

@@ -9,9 +9,16 @@ top-K averages), then penalizes ds_i exceeding dd_i:
 
 :class:`PairEvaluator` is the one place that turns (M, data, neighbor sets)
 into soft sides, J and its gradient. The gradient is a weighted sum of pair
-outer products (x_i-x_j)(x_i-x_j)^T with softmax weights; it is accumulated
-as a weighted Gram matrix of the pair-difference rows, which keeps the
-per-pair cost at d^2.
+outer products (x_i-x_j)(x_i-x_j)^T with softmax weights w_ij. Scattered
+into an N x N matrix w and symmetrized as W = w + w^T, that sum is the
+weighted-Laplacian form X^T (diag(W 1) - W) X (the identity NCA
+implementations use), so the per-call gradient work is O(P + N^2 d) instead
+of d^2 per pair. X is centred first: the Laplacian annihilates constant
+columns, so the result is the same, but without the centring a large common
+offset in the features cancels catastrophically. The descent loop asks for J
+and then dJ/dM at each accepted iterate; the evaluator computes that
+iterate's quadratic forms and soft sides once and hands them from the one
+call to the other.
 """
 
 from __future__ import annotations
@@ -123,11 +130,24 @@ def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarr
 class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
-    The pair-difference rows are gathered once up front, so the per-call work
-    is a weighted Gram matrix. Reuse one instance across optimizer
-    iterations: the differences depend only on (data, nbrs), never on the
-    metric. Every method accepts a MetricMatrix or a raw square array (needed
-    by finite-difference checks, which step off the PSD cone).
+    The pair-difference rows, the flat (owner, neighbor) indices of every
+    pair and the centred features are built once up front. Reuse one
+    instance across optimizer iterations: none of them depends on the
+    metric. Every method accepts a MetricMatrix or a raw square array
+    (needed by finite-difference checks, which step off the PSD cone).
+
+    The quadratic forms d_M of the pairs are the only per-pair d^2 work and
+    always come from the difference rows, which keeps J free of
+    cancellation. The gradient is formed as the centred weighted Laplacian
+    Xc^T (diag(W 1) - W) Xc, where W is the symmetrized N x N matrix of pair
+    weights.
+
+    :meth:`objective` keeps a one-entry memo of the soft sides it computed
+    at a MetricMatrix (immutable, so identity means the same matrix); a
+    :meth:`gradient` call at that same object reuses them, which is the
+    descent loop's objective-then-gradient pattern, and drops the memo.
+    Raw arrays are never memoized, since they can be changed in place. The
+    memo makes an instance unfit for concurrent use from several threads.
     """
 
     def __init__(self, data: Dataset, nbrs: NeighborSets, hp: HyperParams):
@@ -136,12 +156,17 @@ class PairEvaluator:
                              % (nbrs.n_samples, data.n_samples))
         self.hp = hp
         x = data.features
+        n = data.n_samples
         self.diff_s = x[nbrs.sim_owner] - x[nbrs.sim_nbr]
         self.diff_d = x[nbrs.dis_owner] - x[nbrs.dis_nbr]
         self.sim_owner, self.dis_owner = nbrs.sim_owner, nbrs.dis_owner
         self.sim_ptr, self.dis_ptr = nbrs.sim_ptr, nbrs.dis_ptr
         self.sim_counts = np.diff(nbrs.sim_ptr)
         self.dis_counts = np.diff(nbrs.dis_ptr)
+        self.flat_s = nbrs.sim_owner * n + nbrs.sim_nbr
+        self.flat_d = nbrs.dis_owner * n + nbrs.dis_nbr
+        self.xc = x - x.mean(axis=0)
+        self._memo = None  # (MetricMatrix, sim, dis, u) of the last objective
 
     def _quadforms(self, m):
         mm = m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
@@ -160,25 +185,37 @@ class PairEvaluator:
         (ds, _, _), (dd, _, _) = self._soft_sides(*self._quadforms(m))
         return ds, dd
 
-    def objective(self, m) -> float:
+    def _evaluate(self, m):
         q_s, q_d = self._quadforms(m)
-        (ds, _, _), (dd, _, _) = self._soft_sides(q_s, q_d)
-        u = (ds - dd) / self.hp.gamma
+        sim, dis = self._soft_sides(q_s, q_d)
+        u = (sim[0] - dis[0]) / self.hp.gamma
+        return q_s, sim, dis, u
+
+    def objective(self, m) -> float:
+        self._memo = None  # free the last iterate's arrays before new ones
+        q_s, sim, dis, u = self._evaluate(m)
+        if isinstance(m, MetricMatrix):
+            self._memo = (m, sim, dis, u)
         return float(self.hp.loss.value(u).sum()) + self.hp.lam * float(q_s.sum())
 
     def gradient(self, m) -> np.ndarray:
         hp = self.hp
-        q_s, q_d = self._quadforms(m)
-        (ds, e_s, tot_s), (dd, e_d, tot_d) = self._soft_sides(q_s, q_d)
-        u = (ds - dd) / hp.gamma
+        memo, self._memo = self._memo, None
+        if memo is not None and memo[0] is m:
+            _, (_, e_s, tot_s), (_, e_d, tot_d), u = memo
+        else:
+            _, (_, e_s, tot_s), (_, e_d, tot_d), u = self._evaluate(m)
         xi = hp.loss.derivative(u) / hp.gamma
         # softmax weight of each pair inside its own segment (in place)
         r_s = np.divide(e_s, np.repeat(tot_s, self.sim_counts), out=e_s)
         r_d = np.divide(e_d, np.repeat(tot_d, self.dis_counts), out=e_d)
         w_s = xi[self.sim_owner] * r_s + hp.lam
         w_d = xi[self.dis_owner] * r_d
-        grad = ((self.diff_s * w_s[:, None]).T @ self.diff_s
-                - (self.diff_d * w_d[:, None]).T @ self.diff_d)
+        n = self.xc.shape[0]
+        w = (np.bincount(self.flat_s, w_s, n * n)
+             - np.bincount(self.flat_d, w_d, n * n)).reshape(n, n)
+        w = w + w.T
+        grad = (self.xc.T * w.sum(axis=1)) @ self.xc - self.xc.T @ (w @ self.xc)
         return (grad + grad.T) / 2.0
 
 

@@ -4,7 +4,8 @@ Each iteration forms the candidate psd_project(M - eta * grad J(M)) and keeps
 it only if the objective strictly decreases; the step size grows by 1.05 on
 acceptance and halves on rejection. The gradient is recomputed only after an
 accepted step (a rejected step leaves the iterate, and hence its gradient,
-unchanged).
+unchanged), and it reuses the soft sides the evaluator computed when it
+scored that step, so each iterate's quadratic forms are computed once.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
           init: Optional[MetricMatrix] = None,
           callback: Optional[Callable] = None) -> TrainReport:
     """Run the descent loop for hp.max_iters iterations (or until the step
-    size collapses below ETA_MIN / 30 consecutive rejections).
+    size collapses below ETA_MIN / 30 consecutive rejections); the report's
+    stop_reason records which of the three ended it.
 
     callback, if given, receives (iteration, objective, eta, accepted) after
     every iteration.
@@ -62,6 +64,7 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
     grad = None
     rejections = 0
     iterations = 0
+    stop_reason = "max_iters"
 
     for it in range(1, hp.max_iters + 1):
         if grad is None:
@@ -86,10 +89,15 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
         else:
             eta *= 0.5
             rejections += 1
-        if eta < ETA_MIN or rejections >= MAX_CONSECUTIVE_REJECTIONS:
+        if eta < ETA_MIN:
+            stop_reason = "eta_floor"
+            break
+        if rejections >= MAX_CONSECUTIVE_REJECTIONS:
+            stop_reason = "rejection_cap"
             break
 
     return TrainReport(final_metric=m,
                        objective_trace=tuple(trace),
                        iterations_run=iterations,
-                       wall_time_seconds=time.perf_counter() - start)
+                       wall_time_seconds=time.perf_counter() - start,
+                       stop_reason=stop_reason)

@@ -317,6 +317,23 @@ def test_gradient_matches_finite_differences():
         assert (np.abs(analytic - fd) / denom).max() <= 1e-4
 
 
+def _oracle_gradient(m, data, nbrs, hp):
+    """dJ/dM summed one pair outer product at a time from per_sample_terms."""
+    x = data.features
+    expected = np.zeros((data.n_features, data.n_features))
+    for i in range(data.n_samples):
+        t = per_sample_terms(m, data, nbrs, hp, i)
+        for w, j in zip(t.ws, nbrs.similar[i]):
+            expected += (t.xi * w + hp.lam) * np.outer(x[i] - x[j], x[i] - x[j])
+        for w, l in zip(t.wd, nbrs.dissimilar[i]):
+            expected -= t.xi * w * np.outer(x[i] - x[l], x[i] - x[l])
+    return expected
+
+
+def _assert_matches_oracle(got, expected):
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
 @pytest.mark.parametrize("loss", [HingeLoss(1.0), IdentityLoss(),
                                   SoftplusLoss(margin=0.5, sharpness=2.0)])
@@ -326,16 +343,101 @@ def test_gradient_matches_per_sample_oracle(alpha, loss, mode):
     data, nbrs = make_instance(rng, n=14, d=3, classes=3, mode=mode, k0=3)
     m = random_psd(rng, 3, jitter=0.1)
     hp = HyperParams(alpha=alpha, gamma=1.5, lam=0.01, loss=loss)
-    x = data.features
-    expected = np.zeros((3, 3))
-    for i in range(data.n_samples):
-        t = per_sample_terms(m, data, nbrs, hp, i)
-        for w, j in zip(t.ws, nbrs.similar[i]):
-            expected += (t.xi * w + hp.lam) * np.outer(x[i] - x[j], x[i] - x[j])
-        for w, l in zip(t.wd, nbrs.dissimilar[i]):
-            expected -= t.xi * w * np.outer(x[i] - x[l], x[i] - x[l])
     got = PairEvaluator(data, nbrs, hp).gradient(m)
-    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+    _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
+
+
+def test_gradient_translation_invariant():
+    # the Laplacian form works on centred features: a common offset of 1e6
+    # must not cost accuracy (uncentred, it cancels to ~5e-4 relative error)
+    rng = np.random.default_rng(14)
+    base, _ = make_instance(rng, n=20, d=4, classes=3)
+    data = Dataset(base.features + 1e6, base.labels)
+    nbrs = build_neighbor_sets(data)
+    m = random_psd(rng, 4, jitter=0.1)
+    hp = HyperParams(alpha=2.0, gamma=1.5, lam=0.01, loss=IdentityLoss())
+    got = PairEvaluator(data, nbrs, hp).gradient(m)
+    _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
+
+
+def test_gradient_matches_oracle_with_mutual_neighbors():
+    # unequal classes and k-NN similar sets: mutual neighbors put weight on
+    # both (i, j) and (j, i), which the symmetrized pair-weight matrix adds up
+    rng = np.random.default_rng(15)
+    labels = np.repeat([1, 2, 3, 4], [40, 25, 15, 10])
+    data = Dataset(rng.normal(size=(90, 6)), rng.permutation(labels))
+    nbrs = build_neighbor_sets(data, mode="knn_same_class", k0=5)
+    pairs = set(zip(nbrs.sim_owner.tolist(), nbrs.sim_nbr.tolist()))
+    assert any((j, i) in pairs for (i, j) in pairs)
+    m = random_psd(rng, 6, jitter=0.1)
+    hp = HyperParams(alpha=2.0, gamma=1.5, lam=0.01,
+                     loss=SoftplusLoss(margin=0.5, sharpness=2.0))
+    got = PairEvaluator(data, nbrs, hp).gradient(m)
+    _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
+
+
+# ---------------------------------------------------------------------------
+# PairEvaluator's one-entry memo (objective then gradient at one iterate)
+
+
+def _memo_instance():
+    rng = np.random.default_rng(16)
+    data, nbrs = make_instance(rng, n=16, d=3, classes=3, mode="knn_same_class",
+                               k0=4)
+    hp = HyperParams(alpha=-2.0, gamma=1.5, lam=0.01,
+                     loss=SoftplusLoss(margin=0.5, sharpness=2.0))
+    m1 = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    m2 = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    return data, nbrs, hp, m1, m2
+
+
+def test_gradient_after_objective_reuses_soft_sides(monkeypatch):
+    data, nbrs, hp, m, _ = _memo_instance()
+    fresh = PairEvaluator(data, nbrs, hp).gradient(m)
+    ev = PairEvaluator(data, nbrs, hp)
+    ev.objective(m)
+    calls = []
+    quadforms = PairEvaluator._quadforms
+
+    def counting_quadforms(self, mm):
+        calls.append(1)
+        return quadforms(self, mm)
+
+    monkeypatch.setattr(PairEvaluator, "_quadforms", counting_quadforms)
+    assert np.array_equal(ev.gradient(m), fresh)
+    assert calls == []
+
+
+def test_memo_is_not_reused_for_another_metric():
+    data, nbrs, hp, m1, m2 = _memo_instance()
+    fresh = PairEvaluator(data, nbrs, hp).gradient(m1)
+    ev = PairEvaluator(data, nbrs, hp)
+    ev.objective(m1)
+    ev.objective(m2)
+    assert np.array_equal(ev.gradient(m1), fresh)
+
+
+def test_raw_arrays_are_not_memoized():
+    # finite-difference checks step a raw array in place between calls
+    data, nbrs, hp, m, _ = _memo_instance()
+    a = m.m.copy()
+    ev = PairEvaluator(data, nbrs, hp)
+    ev.objective(a)
+    a[0, 0] += 1e-3
+    fresh = PairEvaluator(data, nbrs, hp).gradient(a.copy())
+    assert np.array_equal(ev.gradient(a), fresh)
+
+
+def test_repeated_gradient_calls_agree():
+    # the softmax weights are divided in place; a second call must not see
+    # the first call's arrays
+    data, nbrs, hp, m, _ = _memo_instance()
+    ev = PairEvaluator(data, nbrs, hp)
+    ev.objective(m)
+    g1 = ev.gradient(m)
+    g2 = ev.gradient(m)
+    assert np.array_equal(g1, g2)
+    assert np.array_equal(g2, ev.gradient(m.m))
 
 
 def test_gradient_exactly_symmetric():

@@ -6,6 +6,7 @@ import pytest
 from adaptnn import (Dataset, DivergenceError, HingeLoss, HyperParams,
                      IdentityLoss, MetricMatrix, apply_zscore,
                      build_neighbor_sets, default_init, fit_zscore, load, train)
+from adaptnn.objective import PairEvaluator
 from helpers import make_instance
 
 IRIS = Path(__file__).resolve().parent.parent / "datasets" / "iris.csv"
@@ -49,6 +50,25 @@ def test_one_eigendecomposition_per_step(monkeypatch):
     report = train(data, nbrs, HyperParams(alpha=2.0, max_iters=10))
     assert report.iterations_run == 10
     assert len(calls) == 1
+
+
+def test_quadratic_forms_once_per_iterate(monkeypatch):
+    # the gradient at an accepted iterate reuses the soft sides its objective
+    # call computed: one quadratic-form pass per objective call, none extra
+    calls = []
+    quadforms = PairEvaluator._quadforms
+
+    def counting_quadforms(self, m):
+        calls.append(1)
+        return quadforms(self, m)
+
+    monkeypatch.setattr(PairEvaluator, "_quadforms", counting_quadforms)
+    rng = np.random.default_rng(1)
+    data, nbrs = make_instance(rng, n=20, d=3, classes=2)
+    report = train(data, nbrs, HyperParams(alpha=2.0, max_iters=10))
+    assert report.iterations_run == 10
+    assert any(acc for (it, _, _, acc) in report.objective_trace if it > 0)
+    assert len(calls) == report.iterations_run + 1
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +195,26 @@ def test_early_stop_on_rejection_streak():
                      max_iters=10_000)
     report = train(ds, ns, hp)
     assert report.iterations_run == 30
+
+
+def _separated_pair_classes():
+    # hinge inactive everywhere and lam = 0: the gradient is 0, J stays 0 and
+    # every candidate is rejected, so eta only halves
+    X = np.array([[0.0], [0.1], [10.0], [10.1]])
+    ds = Dataset(X, [1, 1, 2, 2])
+    return ds, build_neighbor_sets(ds)
+
+
+@pytest.mark.parametrize("eta0, max_iters, reason, iterations", [
+    (1.0, 5, "max_iters", 5),
+    (1.0, 10_000, "rejection_cap", 30),   # eta = 2^-30 ~ 9.3e-10 > ETA_MIN
+    (1e-10, 10_000, "eta_floor", 7),      # 1e-10 * 2^-7 < 1e-12
+    (1e-3, 10_000, "eta_floor", 30),      # both hold at 30: eta_floor wins
+])
+def test_stop_reason(eta0, max_iters, reason, iterations):
+    ds, ns = _separated_pair_classes()
+    hp = HyperParams(alpha=1.0, gamma=1.0, lam=0.0, loss=HingeLoss(1.0),
+                     max_iters=max_iters, eta0=eta0)
+    report = train(ds, ns, hp)
+    assert report.stop_reason == reason
+    assert report.iterations_run == iterations
