@@ -126,43 +126,43 @@ class MetricMatrix:
 class NeighborSets:
     """Per-sample similarity sets S_i (same class) and dissimilarity sets D_i.
 
-    Stores one index array per sample plus flattened pair arrays (owner index,
-    neighbor index, CSR-style segment pointers) precomputed for the vectorized
-    objective and gradient paths.
+    Stored as flattened pair arrays, one pair per (sample, neighbor): owner
+    index, neighbor index and CSR-style segment pointers, so S_i is
+    ``sim_nbr[sim_ptr[i]:sim_ptr[i + 1]]``. :attr:`similar` and
+    :attr:`dissimilar` are per-sample read-only views of those arrays.
     """
 
-    __slots__ = ("similar", "dissimilar",
-                 "sim_owner", "sim_nbr", "sim_ptr",
+    __slots__ = ("sim_owner", "sim_nbr", "sim_ptr",
                  "dis_owner", "dis_nbr", "dis_ptr")
 
     def __init__(self, similar, dissimilar, labels=None):
         n = len(similar)
         if len(dissimilar) != n:
             raise ValueError("similar and dissimilar must have equal length")
-        sim = tuple(_readonly(np.asarray(s, dtype=int)) for s in similar)
-        dis = tuple(_readonly(np.asarray(d, dtype=int)) for d in dissimilar)
-        for i in range(n):
-            if sim[i].size == 0 or dis[i].size == 0:
-                raise ValueError("empty neighbor set for sample %d" % i)
-            if i in sim[i] or i in dis[i]:
-                raise ValueError("sample %d contained in its own neighbor set" % i)
-        self.sim_owner, self.sim_nbr, self.sim_ptr = self._flatten(sim)
-        self.dis_owner, self.dis_nbr, self.dis_ptr = self._flatten(dis)
-        for side, nbr in (("similar", self.sim_nbr), ("dissimilar", self.dis_nbr)):
+        s_owner, s_nbr, s_ptr = self._flatten(similar)
+        d_owner, d_nbr, d_ptr = self._flatten(dissimilar)
+        # report the lowest faulty sample, and at one sample the first fault
+        # listed, as a scan over the samples would
+        _raise_first(((np.diff(s_ptr) == 0) | (np.diff(d_ptr) == 0),
+                      "empty neighbor set for sample %d"),
+                     (_owns(s_owner, s_owner == s_nbr, n)
+                      | _owns(d_owner, d_owner == d_nbr, n),
+                      "sample %d contained in its own neighbor set"))
+        for side, nbr in (("similar", s_nbr), ("dissimilar", d_nbr)):
             if nbr.min(initial=0) < 0 or nbr.max(initial=-1) >= n:
                 raise ValueError("%s neighbor index out of range [0, %d)" % (side, n))
         if labels is not None:
             labels = np.asarray(labels)
-            for i in range(n):
-                if not np.all(labels[sim[i]] == labels[i]):
-                    raise ValueError("S_%d contains a different-class sample" % i)
-                if np.any(labels[dis[i]] == labels[i]):
-                    raise ValueError("D_%d contains a same-class sample" % i)
-        self.similar = sim
-        self.dissimilar = dis
+            _raise_first((_owns(s_owner, labels[s_nbr] != labels[s_owner], n),
+                          "S_%d contains a different-class sample"),
+                         (_owns(d_owner, labels[d_nbr] == labels[d_owner], n),
+                          "D_%d contains a same-class sample"))
+        self.sim_owner, self.sim_nbr, self.sim_ptr = s_owner, s_nbr, s_ptr
+        self.dis_owner, self.dis_nbr, self.dis_ptr = d_owner, d_nbr, d_ptr
 
     @staticmethod
     def _flatten(sets):
+        sets = [np.asarray(s, dtype=int) for s in sets]
         counts = np.array([s.size for s in sets], dtype=int)
         ptr = np.concatenate(([0], np.cumsum(counts)))
         owner = np.repeat(np.arange(len(sets)), counts)
@@ -170,12 +170,40 @@ class NeighborSets:
         return _readonly(owner), _readonly(nbr), _readonly(ptr)
 
     @property
+    def similar(self) -> tuple:
+        """S_i for each sample i, as read-only views of ``sim_nbr``."""
+        return _segments(self.sim_nbr, self.sim_ptr)
+
+    @property
+    def dissimilar(self) -> tuple:
+        """D_i for each sample i, as read-only views of ``dis_nbr``."""
+        return _segments(self.dis_nbr, self.dis_ptr)
+
+    @property
     def n_samples(self) -> int:
-        return len(self.similar)
+        return self.sim_ptr.size - 1
 
     def __repr__(self):
         return "NeighborSets(n=%d, pairs=%d+%d)" % (
             self.n_samples, self.sim_nbr.size, self.dis_nbr.size)
+
+
+def _owns(owner: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
+    """Per-sample flags: sample i owns at least one pair flagged in ``bad``."""
+    return np.bincount(owner[bad], minlength=n) > 0
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the lowest sample flagged by any (flags, message) check; at
+    that sample the first check that flags it gives the message."""
+    flagged = np.flatnonzero(np.any([f for f, _ in checks], axis=0))
+    if flagged.size:
+        i = flagged[0]
+        raise ValueError(next(msg for f, msg in checks if f[i]) % i)
+
+
+def _segments(nbr: np.ndarray, ptr: np.ndarray) -> tuple:
+    return tuple(np.split(nbr, ptr[1:-1])) if ptr.size > 1 else ()
 
 
 @dataclass(frozen=True)

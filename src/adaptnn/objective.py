@@ -19,6 +19,11 @@ offset in the features cancels catastrophically. The descent loop asks for J
 and then dJ/dM at each accepted iterate; the evaluator computes that
 iterate's quadratic forms and soft sides once and hands them from the one
 call to the other.
+
+The evaluator reads the neighbor sets as their flattened (owner, neighbor)
+pair arrays and reduces every sample's segment of distances with the
+per-segment soft aggregate of :mod:`adaptnn.softagg`; its
+:func:`~adaptnn.softagg.soft_agg` is the one-segment case.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, HyperParams, MetricMatrix, NeighborSets
-from .metric import pairwise_sq
+from .metric import _as_array, pairwise_sq
+from .softagg import _segment_soft_agg
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +114,6 @@ def _sigmoid(z):
 # Vectorized evaluation over flattened neighbor pairs
 
 
-def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarray):
-    """Soft aggregate b(a) of each CSR segment of q (segments are non-empty),
-    computed as :func:`adaptnn.softagg.soft_agg` does.
-
-    Returns (b, e, total): e = exp(-a (q - shift)) per entry and total its
-    per-segment sum, so e / total is each entry's softmax weight.
-    """
-    starts = ptr[:-1]
-    lo = np.minimum.reduceat(q, starts)
-    hi = np.maximum.reduceat(q, starts)
-    shift = lo if a > 0 else hi
-    e = np.exp(-a * (q - np.repeat(shift, counts)))
-    total = np.add.reduceat(e, starts)
-    b = shift - np.log(total / counts) / a
-    # the shift bounds b on one side; clamp float drift on the other
-    b = np.minimum(b, hi) if a > 0 else np.maximum(b, lo)
-    return b, e, total
-
-
 class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
@@ -169,7 +156,7 @@ class PairEvaluator:
         self._memo = None  # (MetricMatrix, sim, dis, u) of the last objective
 
     def _quadforms(self, m):
-        mm = m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
+        mm = _as_array(m)
         q_s = np.einsum("pi,pi->p", self.diff_s @ mm, self.diff_s)
         q_d = np.einsum("pi,pi->p", self.diff_d @ mm, self.diff_d)
         return np.maximum(q_s, 0.0), np.maximum(q_d, 0.0)

@@ -60,17 +60,33 @@ def soft_agg(values, gamma: float) -> float:
 
         b(gamma) = m* - (1/gamma) * ln( (1/n) * sum exp(-gamma (a_i - m*)) )
 
-    The result always lies in [min(a), max(a)].
+    The result always lies in [min(a), max(a)]. This is the one-segment case
+    of the per-sample aggregate that the training objective uses.
     """
     a = _check_values(values)
     if gamma == 0:
         raise ValueError("gamma must be nonzero; use the plain mean for gamma=0")
-    lo, hi = float(a.min()), float(a.max())
-    shift = lo if gamma > 0 else hi
-    total = np.exp(-gamma * (a - shift)).sum()
-    b = shift - math.log(total / a.size) / gamma
-    # Clamp float drift back into the attainable range.
-    return min(max(b, lo), hi)
+    b, _, _ = _segment_soft_agg(a, gamma, np.array([0, a.size]), np.array([a.size]))
+    return float(b[0])
+
+
+def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarray):
+    """Soft aggregate b(a) of each CSR segment q[ptr[i]:ptr[i + 1]]; the
+    segments are non-empty and counts holds their sizes.
+
+    Returns (b, e, total): e = exp(-a (q - shift)) per entry and total its
+    per-segment sum, so e / total is each entry's softmax weight.
+    """
+    starts = ptr[:-1]
+    lo = np.minimum.reduceat(q, starts)
+    hi = np.maximum.reduceat(q, starts)
+    shift = lo if a > 0 else hi
+    e = np.exp(-a * (q - np.repeat(shift, counts)))
+    total = np.add.reduceat(e, starts)
+    b = shift - np.log(total / counts) / a
+    # the shift bounds b on one side; clamp float drift on the other
+    b = np.minimum(b, hi) if a > 0 else np.maximum(b, lo)
+    return b, e, total
 
 
 def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:

@@ -73,11 +73,22 @@ def test_neighbor_sets_validation():
         NeighborSets([[0]], [[1]])
     with pytest.raises(ValueError, match="empty"):
         NeighborSets([[1], []], [[1], [0]])
+    # several faults: the lowest faulty sample is reported, whatever its
+    # kind; within one sample an empty set comes before an own-set member
+    with pytest.raises(ValueError, match="sample 0 .*own neighbor set"):
+        NeighborSets([[0], []], [[1], [0]])
+    with pytest.raises(ValueError, match="empty .*sample 0"):
+        NeighborSets([[], [1]], [[1], [0]])
+    with pytest.raises(ValueError, match="empty .*sample 0"):
+        NeighborSets([[]], [[0]])
     labels = [1, 1, 2]
     with pytest.raises(ValueError, match="different-class"):
         NeighborSets([[2], [0], [0]], [[2], [2], [0]], labels=labels)
     with pytest.raises(ValueError, match="same-class"):
         NeighborSets([[1], [0], [0]], [[1], [2], [0]], labels=labels)
+    # S_0 and D_0 are both wrong: S_i is checked before D_i
+    with pytest.raises(ValueError, match="S_0 contains a different-class"):
+        NeighborSets([[2], [0], [0]], [[1], [2], [0]], labels=labels)
     # -1 would alias sample 3 itself; 7 is past N = 4
     labels = [1, 1, 2, 2]
     with pytest.raises(ValueError, match="out of range"):
@@ -95,6 +106,20 @@ def test_neighbor_sets_flat_arrays():
     assert ns.sim_ptr.tolist() == [0, 2, 3, 5]
     assert ns.dis_ptr.tolist() == [0, 1, 2, 3]
     assert ns.dis_nbr.tolist() == [2, 0, 1]
+
+
+def test_neighbor_sets_store_only_flat_arrays():
+    assert set(NeighborSets.__slots__) == {"sim_owner", "sim_nbr", "sim_ptr",
+                                           "dis_owner", "dis_nbr", "dis_ptr"}
+    similar, dissimilar = [[1, 2], [0], [0, 1]], [[2], [0], [1]]
+    ns = NeighborSets(similar, dissimilar)
+    assert ns.n_samples == 3
+    for views, flat, sets in ((ns.similar, ns.sim_nbr, similar),
+                              (ns.dissimilar, ns.dis_nbr, dissimilar)):
+        assert [v.tolist() for v in views] == sets
+        for v in views:
+            assert not v.flags.writeable
+            assert np.shares_memory(v, flat)
 
 
 def test_hyperparams_validation():

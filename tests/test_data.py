@@ -210,17 +210,20 @@ def test_knn_same_class_capped():
 
 def test_knn_same_class_matches_bruteforce():
     rng = np.random.default_rng(8)
-    ds = make_dataset(rng, n=30, d=4, classes=3)
+    # the second set has only 4 distinct points, so equal distances cross
+    # the k0 cut and the lower-index tie rule decides which mates are kept
+    tied = Dataset(rng.integers(0, 2, size=(30, 2)).astype(float), 1 + np.arange(30) % 3)
     k0 = 3
-    ns = build_neighbor_sets(ds, mode="knn_same_class", k0=k0)
-    for i in range(ds.n_samples):
-        mates = np.flatnonzero((ds.labels == ds.labels[i])
-                               & (np.arange(ds.n_samples) != i))
-        d2 = ((ds.features[mates] - ds.features[i]) ** 2).sum(axis=1)
-        expect = mates[np.argsort(d2, kind="stable")[:min(k0, mates.size)]]
-        assert ns.similar[i].tolist() == expect.tolist()
-        assert set(ns.dissimilar[i]) == set(
-            np.flatnonzero(ds.labels != ds.labels[i]))
+    for ds in (make_dataset(rng, n=30, d=4, classes=3), tied):
+        ns = build_neighbor_sets(ds, mode="knn_same_class", k0=k0)
+        for i in range(ds.n_samples):
+            mates = np.flatnonzero((ds.labels == ds.labels[i])
+                                   & (np.arange(ds.n_samples) != i))
+            d2 = ((ds.features[mates] - ds.features[i]) ** 2).sum(axis=1)
+            expect = mates[np.argsort(d2, kind="stable")[:min(k0, mates.size)]]
+            assert ns.similar[i].tolist() == expect.tolist()
+            assert set(ns.dissimilar[i]) == set(
+                np.flatnonzero(ds.labels != ds.labels[i]))
 
 
 def test_singleton_class_rejected():

@@ -165,8 +165,8 @@ def test_soft_sides_edge_properties(inst, alpha):
         for got, vals, a in ((ds[i], sim, alpha), (dd[i], dis, 1.0)):
             assert np.isfinite(got)
             assert vals.min() <= got <= vals.max()
-            # same shifted arithmetic as soft_agg; only the summation order
-            # and the log's last bit differ
+            # soft_agg is the evaluator's aggregate on one segment; only the
+            # last bits of the oracle's distances differ from the evaluator's
             tol = 8 * np.finfo(float).eps * (vals.max() + vals.size / abs(a))
             assert got == pytest.approx(soft_agg(vals, a), rel=0.0, abs=tol)
 
