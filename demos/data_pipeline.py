@@ -11,22 +11,22 @@ from adaptnn import (apply_pca, apply_zscore, build_neighbor_sets, fit_pca,
 # --- the two file grammars -------------------------------------------------
 import tempfile, os
 
-tmp = tempfile.mkdtemp()
-sparse_path = os.path.join(tmp, "toy.sparse")
-with open(sparse_path, "w") as f:
-    f.write("pos 1:0.5 3:2.0\n")     # 1-based indices, gaps are zeros
-    f.write("neg 2:1.0\n")
-    f.write("pos 1:0.1 2:0.2 3:0.3\n")
-    f.write("neg 3:4.0\n")
-ds = load(sparse_path, format="sparse_index_value")
-print("sparse file -> %s" % ds)
-print("  densified features:\n%s" % ds.features)
-print("  labels remapped first-seen: pos->1 neg->2 :", ds.labels)
+with tempfile.TemporaryDirectory() as tmp:  # removed with its files on exit
+    sparse_path = os.path.join(tmp, "toy.sparse")
+    with open(sparse_path, "w") as f:
+        f.write("pos 1:0.5 3:2.0\n")     # 1-based indices, gaps are zeros
+        f.write("neg 2:1.0\n")
+        f.write("pos 1:0.1 2:0.2 3:0.3\n")
+        f.write("neg 3:4.0\n")
+    ds = load(sparse_path, format="sparse_index_value")
+    print("sparse file -> %s" % ds)
+    print("  densified features:\n%s" % ds.features)
+    print("  labels remapped first-seen: pos->1 neg->2 :", ds.labels)
 
-csv_path = os.path.join(tmp, "toy.csv")
-save(ds, csv_path)  # delimited round-trip is bit-exact
-back = load(csv_path)
-print("  delimited round-trip bit-exact:", np.array_equal(back.features, ds.features))
+    csv_path = os.path.join(tmp, "toy.csv")
+    save(ds, csv_path)  # delimited round-trip is bit-exact
+    back = load(csv_path)
+    print("  delimited round-trip bit-exact:", np.array_equal(back.features, ds.features))
 
 # --- z-scoring (statistics come from the fit split only) --------------------
 rng = np.random.default_rng(0)

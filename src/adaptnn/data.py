@@ -223,6 +223,8 @@ def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
                          % (int(np.argmin(counts)) + 1, int(counts.min())))
     similar, dissimilar = [], []
     by_class = {c: data.class_indices(c) for c in range(1, data.n_classes + 1)}
+    # D_i depends only on the class of i: one array per class, shared
+    others = {c: np.flatnonzero(y != c) for c in by_class}
     for i in range(data.n_samples):
         mates = by_class[y[i]]
         mates = mates[mates != i]
@@ -237,5 +239,5 @@ def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
         else:
             raise ValueError("unknown mode %r" % (mode,))
         similar.append(s)
-        dissimilar.append(np.flatnonzero(y != y[i]))
+        dissimilar.append(others[y[i]])
     return NeighborSets(similar, dissimilar, labels=y)

@@ -23,7 +23,14 @@ call to the other.
 The evaluator reads the neighbor sets as their flattened (owner, neighbor)
 pair arrays and reduces every sample's segment of distances with the
 per-segment soft aggregate of :mod:`adaptnn.softagg`; its
-:func:`~adaptnn.softagg.soft_agg` is the one-segment case.
+:func:`~adaptnn.softagg.soft_agg` is the one-segment case. Since d_M is
+symmetric, it keeps one difference row per unordered pair {i, j}, however
+many of the two sides list it as (i, j) or (j, i), and two inverse maps from
+the similar and the dissimilar pairs to those rows. D_i is every other-class
+sample, so each dissimilar pair is listed twice, and so is each similar pair
+under "all_same_class": each quadratic form is computed once instead. The
+pass runs over the rows in fixed-size blocks, so its product with M stays
+cache-sized at any N.
 """
 
 from __future__ import annotations
@@ -114,20 +121,33 @@ def _sigmoid(z):
 # Vectorized evaluation over flattened neighbor pairs
 
 
+# unique pair rows per quadratic-form block: the block's (rows x d) product
+# with M stays cache-sized instead of growing with the pair count
+_BLOCK_ROWS = 8192
+
+
+def _blocks(rows):
+    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, rows, _BLOCK_ROWS)]
+
+
 class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
-    The pair-difference rows, the flat (owner, neighbor) indices of every
-    pair and the centred features are built once up front. Reuse one
-    instance across optimizer iterations: none of them depends on the
-    metric. Every method accepts a MetricMatrix or a raw square array
-    (needed by finite-difference checks, which step off the PSD cone).
+    The difference rows ``diff`` (one per unordered pair, x_min - x_max),
+    the maps ``inv_s``/``inv_d`` from each similar and dissimilar pair to
+    its row, the flat (owner, neighbor) indices of every pair and the
+    centred features are built once up front. Reuse one instance across
+    optimizer iterations: none of them depends on the metric. Every method
+    accepts a MetricMatrix or a raw square array (needed by finite-difference
+    checks, which step off the PSD cone).
 
     The quadratic forms d_M of the pairs are the only per-pair d^2 work and
     always come from the difference rows, which keeps J free of
-    cancellation. The gradient is formed as the centred weighted Laplacian
-    Xc^T (diag(W 1) - W) Xc, where W is the symmetrized N x N matrix of pair
-    weights.
+    cancellation. They are computed once per row, block by block, and read
+    out per pair through the inverse maps; negating a row is exact, so they
+    equal the per-pair forms bit for bit. The gradient is formed as the
+    centred weighted Laplacian Xc^T (diag(W 1) - W) Xc, where W is the
+    symmetrized N x N matrix of pair weights.
 
     :meth:`objective` keeps a one-entry memo of the soft sides it computed
     at a MetricMatrix (immutable, so identity means the same matrix); a
@@ -144,22 +164,38 @@ class PairEvaluator:
         self.hp = hp
         x = data.features
         n = data.n_samples
-        self.diff_s = x[nbrs.sim_owner] - x[nbrs.sim_nbr]
-        self.diff_d = x[nbrs.dis_owner] - x[nbrs.dis_nbr]
-        self.sim_owner, self.dis_owner = nbrs.sim_owner, nbrs.dis_owner
-        self.sim_ptr, self.dis_ptr = nbrs.sim_ptr, nbrs.dis_ptr
-        self.sim_counts = np.diff(nbrs.sim_ptr)
-        self.dis_counts = np.diff(nbrs.dis_ptr)
         self.flat_s = nbrs.sim_owner * n + nbrs.sim_nbr
         self.flat_d = nbrs.dis_owner * n + nbrs.dis_nbr
+        # one row per unordered pair, keyed min*n + max; a pair listed as both
+        # (i, j) and (j, i) shares its row
+        key_s = np.minimum(self.flat_s, nbrs.sim_nbr * n + nbrs.sim_owner)
+        key_d = np.minimum(self.flat_d, nbrs.dis_nbr * n + nbrs.dis_owner)
+        seen = np.zeros(n * n, dtype=bool)
+        seen[key_s] = True
+        seen[key_d] = True
+        keys = np.flatnonzero(seen)
+        row = np.empty(n * n, dtype=np.intp)
+        row[keys] = np.arange(keys.size)
+        self.inv_s, self.inv_d = row[key_s], row[key_d]
+        del seen, row, key_s, key_d  # before the rows are allocated
+        lo, hi = np.divmod(keys, n)
+        self.diff = np.empty((keys.size, x.shape[1]))
+        for b in _blocks(keys.size):
+            np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
+        self.sim_owner, self.dis_owner = nbrs.sim_owner, nbrs.dis_owner
+        self.sim_ptr, self.dis_ptr = nbrs.sim_ptr, nbrs.dis_ptr
+        self.sim_counts = nbrs.sim_ptr[1:] - nbrs.sim_ptr[:-1]
+        self.dis_counts = nbrs.dis_ptr[1:] - nbrs.dis_ptr[:-1]
         self.xc = x - x.mean(axis=0)
         self._memo = None  # (MetricMatrix, sim, dis, u) of the last objective
 
     def _quadforms(self, m):
         mm = _as_array(m)
-        q_s = np.einsum("pi,pi->p", self.diff_s @ mm, self.diff_s)
-        q_d = np.einsum("pi,pi->p", self.diff_d @ mm, self.diff_d)
-        return np.maximum(q_s, 0.0), np.maximum(q_d, 0.0)
+        q = np.empty(self.diff.shape[0])
+        for b in _blocks(q.size):
+            np.einsum("pi,pi->p", self.diff[b] @ mm, self.diff[b], out=q[b])
+        np.maximum(q, 0.0, out=q)
+        return q[self.inv_s], q[self.inv_d]
 
     def _soft_sides(self, q_s, q_d):
         sim = _segment_soft_agg(q_s, self.hp.alpha, self.sim_ptr, self.sim_counts)

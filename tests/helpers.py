@@ -50,6 +50,19 @@ def mahalanobis_sq(m, a, b) -> float:
     return max(float(diff @ mm @ diff), 0.0)
 
 
+def pair_quadforms(m, data, nbrs):
+    """(q_s, q_d): d_M over every listed (owner, neighbor) pair in list
+    order, one difference row x_owner - x_nbr per pair, clamped at 0."""
+    mm = m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
+    x = data.features
+
+    def side(owner, nbr):
+        d = x[owner] - x[nbr]
+        return np.maximum(np.einsum("pi,pi->p", d @ mm, d), 0.0)
+
+    return side(nbrs.sim_owner, nbrs.sim_nbr), side(nbrs.dis_owner, nbrs.dis_nbr)
+
+
 def neighbor_weights(distances, alpha: float) -> np.ndarray:
     """softmax(-alpha * distances), computed with a max shift; sums to 1.
 

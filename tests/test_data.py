@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adaptnn import (Dataset, apply_pca, apply_zscore, build_neighbor_sets,
-                     fit_pca, fit_zscore, load, save)
+from adaptnn import (Dataset, NeighborSets, apply_pca, apply_zscore,
+                     build_neighbor_sets, fit_pca, fit_zscore, load, save)
 from adaptnn.data import Preprocessor
 from helpers import make_dataset
 
@@ -208,22 +210,47 @@ def test_knn_same_class_capped():
     assert all(ns.similar[i].size == 5 for i in range(6))  # class size 6 -> 5
 
 
-def test_knn_same_class_matches_bruteforce():
+IRIS = Path(__file__).resolve().parent.parent / "datasets" / "iris.csv"
+CSR_ARRAYS = ("sim_owner", "sim_nbr", "sim_ptr", "dis_owner", "dis_nbr", "dis_ptr")
+
+
+def _per_sample_sets(ds, mode, k0):
+    """S_i and D_i built one sample at a time, straight from the definitions."""
+    similar, dissimilar = [], []
+    for i in range(ds.n_samples):
+        mates = np.flatnonzero((ds.labels == ds.labels[i])
+                               & (np.arange(ds.n_samples) != i))
+        if mode == "knn_same_class":
+            # summed in the library's order: on iris a different order
+            # rounds near-ties differently and swaps mates at the k0 cut
+            diffs = ds.features[mates] - ds.features[i]
+            d2 = np.einsum("nd,nd->n", diffs, diffs)
+            mates = mates[np.argsort(d2, kind="stable")[:min(k0, mates.size)]]
+        similar.append(mates)
+        dissimilar.append(np.flatnonzero(ds.labels != ds.labels[i]))
+    return NeighborSets(similar, dissimilar, labels=ds.labels)
+
+
+def _assert_csr_matches_bruteforce(mode):
     rng = np.random.default_rng(8)
-    # the second set has only 4 distinct points, so equal distances cross
-    # the k0 cut and the lower-index tie rule decides which mates are kept
+    # the tied set has only 4 distinct points, so equal distances cross the
+    # k0 cut and the lower-index tie rule decides which mates are kept
     tied = Dataset(rng.integers(0, 2, size=(30, 2)).astype(float), 1 + np.arange(30) % 3)
     k0 = 3
-    for ds in (make_dataset(rng, n=30, d=4, classes=3), tied):
-        ns = build_neighbor_sets(ds, mode="knn_same_class", k0=k0)
-        for i in range(ds.n_samples):
-            mates = np.flatnonzero((ds.labels == ds.labels[i])
-                                   & (np.arange(ds.n_samples) != i))
-            d2 = ((ds.features[mates] - ds.features[i]) ** 2).sum(axis=1)
-            expect = mates[np.argsort(d2, kind="stable")[:min(k0, mates.size)]]
-            assert ns.similar[i].tolist() == expect.tolist()
-            assert set(ns.dissimilar[i]) == set(
-                np.flatnonzero(ds.labels != ds.labels[i]))
+    for ds in (make_dataset(rng, n=30, d=4, classes=3), tied, load(IRIS)):
+        got = build_neighbor_sets(ds, mode=mode, k0=k0)
+        expect = _per_sample_sets(ds, mode, k0)
+        for name in CSR_ARRAYS:
+            a, b = getattr(got, name), getattr(expect, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_knn_same_class_matches_bruteforce():
+    _assert_csr_matches_bruteforce("knn_same_class")
+
+
+def test_all_same_class_matches_bruteforce():
+    _assert_csr_matches_bruteforce("all_same_class")
 
 
 def test_singleton_class_rejected():

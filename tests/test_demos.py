@@ -17,8 +17,12 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
                                     "soft_aggregation.py", "train_and_classify.py"])
 def test_demo_runs(script, tmp_path):
     src = Path(adaptnn.__file__).resolve().parents[1]
-    # the demos' scratch files go under tmp_path
-    env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp_path))
+    # a demo's scratch files go to an empty temp directory of its own, and
+    # the demo must remove them before it exits
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp))
     out = subprocess.run([sys.executable, str(DEMOS / script)], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    assert list(tmp.iterdir()) == []

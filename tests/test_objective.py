@@ -6,8 +6,9 @@ from adaptnn import (Dataset, HingeLoss, HyperParams, IdentityLoss, MetricMatrix
                      NeighborSets, SoftplusLoss, ann_gradient, ann_objective,
                      build_neighbor_sets, nca_objective, pnca_objective, soft_agg)
 from adaptnn.objective import PairEvaluator
-from helpers import (mahalanobis_sq, make_instance, neighbor_weights,
-                     per_sample_terms, random_psd, side_distances, soft_distances)
+from helpers import (mahalanobis_sq, make_dataset, make_instance, neighbor_weights,
+                     pair_quadforms, per_sample_terms, random_psd, side_distances,
+                     soft_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +375,75 @@ def test_gradient_matches_oracle_with_mutual_neighbors():
                      loss=SoftplusLoss(margin=0.5, sharpness=2.0))
     got = PairEvaluator(data, nbrs, hp).gradient(m)
     _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
+
+
+# ---------------------------------------------------------------------------
+# Quadratic forms: one per unordered pair, computed in blocks
+
+
+def _unordered_pairs(nbrs):
+    owner = np.concatenate([nbrs.sim_owner, nbrs.dis_owner])
+    nbr = np.concatenate([nbrs.sim_nbr, nbrs.dis_nbr])
+    return {(min(i, j), max(i, j)) for i, j in zip(owner.tolist(), nbr.tolist())}
+
+
+def _quadform_case(case):
+    rng = np.random.default_rng(17)
+    m = MetricMatrix(random_psd(rng, 4, jitter=0.1))
+    if case == "all_same_class":
+        data, nbrs = make_instance(rng, n=24, d=4, classes=3)
+    elif case == "knn_non_mutual":
+        data, nbrs = make_instance(rng, n=40, d=4, classes=3,
+                                   mode="knn_same_class", k0=3)
+        pairs = set(zip(nbrs.sim_owner.tolist(), nbrs.sim_nbr.tolist()))
+        assert any((j, i) not in pairs for (i, j) in pairs)
+    elif case == "blocks":
+        # more unique pairs than one block holds, and a ragged last block
+        data, nbrs = make_instance(rng, n=200, d=4, classes=3)
+        rows = len(_unordered_pairs(nbrs))
+        assert rows > 8192 and rows % 8192 != 0
+    elif case == "duplicates":
+        base = make_dataset(rng, n=24, d=4, classes=3)
+        x = base.features.copy()
+        x[1] = x[0]
+        x[5] = x[2]
+        data = Dataset(x, base.labels)
+        nbrs = build_neighbor_sets(data)
+    else:  # a raw, non-symmetric, indefinite array
+        data, nbrs = make_instance(rng, n=24, d=4, classes=3,
+                                   mode="knn_same_class", k0=4)
+        m = rng.normal(size=(4, 4))
+    return data, nbrs, m
+
+
+@pytest.mark.parametrize("case", ["all_same_class", "knn_non_mutual", "blocks",
+                                  "duplicates", "raw_array"])
+def test_quadforms_equal_per_pair_oracle(case):
+    # the quadratic forms are computed once per unordered pair and read out
+    # per listed pair; they must equal the per-pair forms bit for bit
+    data, nbrs, m = _quadform_case(case)
+    q_s, q_d = PairEvaluator(data, nbrs, HyperParams(alpha=2.0))._quadforms(m)
+    e_s, e_d = pair_quadforms(m, data, nbrs)
+    assert np.array_equal(q_s, e_s)
+    assert np.array_equal(q_d, e_d)
+
+
+def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
+    rng = np.random.default_rng(18)
+    data, nbrs = make_instance(rng, n=30, d=3, classes=3)
+    rows = []
+    einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "pi,pi->p":
+            rows.append(operands[0].shape[0])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    PairEvaluator(data, nbrs, HyperParams(alpha=2.0)).objective(MetricMatrix.identity(3))
+    # all_same_class lists every pair from both ends, on either side
+    n_listed = nbrs.sim_owner.size + nbrs.dis_owner.size
+    assert sum(rows) == len(_unordered_pairs(nbrs)) == n_listed // 2
 
 
 # ---------------------------------------------------------------------------
