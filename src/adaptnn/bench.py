@@ -96,11 +96,15 @@ class AccuracyRecord:
 
 def stratified_split(labels, fraction: float, rng) -> tuple:
     """Per-class shuffled split; train takes round(fraction * n_c) of each
-    class, clamped so both sides stay non-empty."""
+    class, clamped so both sides stay non-empty. A class with fewer than 2
+    samples cannot be split that way and raises ValueError."""
     labels = np.asarray(labels)
     train_idx, test_idx = [], []
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
+        if members.size < 2:
+            raise ValueError("class %s has 1 sample; a stratified split needs "
+                             "at least 2 per class" % c)
         perm = rng.permutation(members)
         n_train = int(round(fraction * members.size))
         n_train = min(max(n_train, 1), members.size - 1)

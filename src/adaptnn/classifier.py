@@ -29,23 +29,37 @@ class FitKnn:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.metric.dim != self.train.n_features:
-            raise ValueError("metric dimension %d does not match %d features"
-                             % (self.metric.dim, self.train.n_features))
+        _check_fit(self.train, self.metric, (self.k,))
 
 
-def _class_score_table(train: Dataset, dists: np.ndarray, k: int) -> np.ndarray:
-    """(n_queries, n_classes) table of average-K-smallest distances, from the
-    query-to-train distance table."""
-    scores = np.empty((dists.shape[0], train.n_classes))
+def _check_fit(train: Dataset, metric: MetricMatrix, ks) -> None:
+    """The checks FitKnn makes, once for every K in ks."""
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
+    if metric.dim != train.n_features:
+        raise ValueError("metric dimension %d does not match %d features"
+                         % (metric.dim, train.n_features))
+
+
+def _predictions(train: Dataset, dists: np.ndarray, ks) -> np.ndarray:
+    """(len(ks), n_queries) predicted class ids, one row per K in ks, from the
+    query-to-train distance table.
+
+    Each class's columns are gathered once. Every K but the last partitions a
+    layout-preserving copy of that block, as np.partition does; the last
+    partitions the block itself, which nothing reads afterwards. So every K
+    averages the same values in the same order as np.partition of freshly
+    gathered columns would.
+    """
+    scores = np.empty((len(ks), dists.shape[0], train.n_classes))
     for c in range(1, train.n_classes + 1):
-        cols = train.class_indices(c)
-        kc = min(k, cols.size)
-        part = np.partition(dists[:, cols], kc - 1, axis=1)[:, :kc]
-        scores[:, c - 1] = part.mean(axis=1)
-    return scores
+        block = dists[:, train.class_indices(c)]
+        for i, k in enumerate(ks):
+            kc = min(k, block.shape[1])
+            part = block if i == len(ks) - 1 else block.copy(order="K")
+            part.partition(kc - 1, axis=1)
+            scores[i, :, c - 1] = part[:, :kc].mean(axis=1)
+    return np.argmin(scores, axis=2) + 1
 
 
 def decision_score(fit: FitKnn, x, c: int) -> float:
@@ -72,23 +86,21 @@ def predict_batch(fit: FitKnn, x) -> np.ndarray:
     """Vectorized predict over rows of x."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dists = pairwise_sq(fit.metric, x, fit.train.features)
-    return np.argmin(_class_score_table(fit.train, dists, fit.k), axis=1) + 1
+    return _predictions(fit.train, dists, (fit.k,))[0]
 
 
 def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
                   k_grid) -> dict:
     """{K: accuracy on test} for every K in k_grid, all scored from one
     test-to-train distance table."""
-    fits = [FitKnn(train=train, metric=metric, k=int(k)) for k in k_grid]
+    ks = list(dict.fromkeys(int(k) for k in k_grid))
+    _check_fit(train, metric, ks)
     if test.n_features != train.n_features:
         raise ValueError("test has %d features, train has %d"
                          % (test.n_features, train.n_features))
     dists = pairwise_sq(metric, test.features, train.features)
-    out = {}
-    for fit in fits:
-        pred = np.argmin(_class_score_table(train, dists, fit.k), axis=1) + 1
-        out[fit.k] = float(np.mean(pred == test.labels))
-    return out
+    preds = _predictions(train, dists, ks)
+    return {k: float(np.mean(pred == test.labels)) for k, pred in zip(ks, preds)}
 
 
 def accuracy(fit: FitKnn, test: Dataset) -> float:

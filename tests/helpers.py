@@ -50,6 +50,20 @@ def mahalanobis_sq(m, a, b) -> float:
     return max(float(diff @ mm @ diff), 0.0)
 
 
+def pairwise_sq_oracle(m, x, y=None):
+    """The two-product distance table: x_i M x_i + y_j M y_j minus
+    x M y^T + x M^T y^T, clamped at 0, as plain expressions with no buffers
+    reused."""
+    mm = m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    xm = x @ mm
+    qx = np.einsum("ij,ij->i", xm, x)
+    qy = np.einsum("ij,ij->i", y @ mm, y)
+    cross = xm @ y.T + (x @ mm.T) @ y.T
+    return np.maximum(qx[:, None] + qy[None, :] - cross, 0.0)
+
+
 def pair_quadforms(m, data, nbrs):
     """(q_s, q_d): d_M over every listed (owner, neighbor) pair in list
     order, one difference row x_owner - x_nbr per pair, clamped at 0."""

@@ -41,6 +41,12 @@ def test_stratified_split_proportions_within_one():
         assert abs(got - 0.7 * n_c) <= 1.0
 
 
+def test_stratified_split_rejects_singleton_class():
+    labels = np.array([1] * 10 + [2] * 10 + [3])
+    with pytest.raises(ValueError, match="class 3 has 1 sample"):
+        stratified_split(labels, 0.7, np.random.default_rng(0))
+
+
 def test_cv_folds_stratified():
     labels = np.repeat([1, 2], 25)
     ids = cv_fold_ids(labels, 5, np.random.default_rng(2))

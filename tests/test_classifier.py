@@ -119,19 +119,34 @@ def test_accuracy_in_unit_interval_and_dimension_check():
 @pytest.mark.parametrize("classes", [2, 3])
 def test_accuracy_by_k_matches_per_k_predictions(classes):
     rng = np.random.default_rng(20 + classes)
-    train = make_dataset(rng, n=24, d=3, classes=classes)
-    test = make_dataset(rng, n=17, d=3, classes=classes)
+    # unequal classes, in blocks and interleaved: interleaved labels make each
+    # class's columns of the distance table non-contiguous
+    blocks = np.repeat(np.arange(1, classes + 1), 4 * np.arange(1, classes + 1))
+    for labels in (blocks, rng.permutation(blocks)):
+        _check_accuracy_by_k(rng, Dataset(rng.normal(size=(labels.size, 3)), labels),
+                             make_dataset(rng, n=17, d=3, classes=classes))
+
+
+def _check_accuracy_by_k(rng, train, test):
     metric = MetricMatrix(random_psd(rng, 3, jitter=0.1))
-    smallest = min(train.class_indices(c).size for c in range(1, classes + 1))
+    before = [a.copy() for a in (train.features, train.labels, test.features,
+                                 test.labels, metric.m)]
+    smallest = min(train.class_indices(c).size
+                   for c in range(1, train.n_classes + 1))
     # K = 1, K inside every class, K past the smallest class, K past them all
     k_grid = sorted({1, smallest - 1, smallest + 2, train.n_samples + 5} - {0})
     got = accuracy_by_k(train, metric, test, k_grid)
     assert list(got) == k_grid
     for k in k_grid:
         fit = FitKnn(train=train, metric=metric, k=k)
-        pred = predict_batch(fit, test.features)
+        queries = test.features.copy()
+        pred = predict_batch(fit, queries)
+        assert np.array_equal(queries, test.features)
         assert got[k] == float(np.mean(pred == test.labels))
         assert accuracy(fit, test) == got[k]
+        assert accuracy_by_k(train, metric, test, (k,)) == {k: got[k]}
+    after = (train.features, train.labels, test.features, test.labels, metric.m)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_accuracy_by_k_validates_inputs():

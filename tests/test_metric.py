@@ -1,8 +1,13 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from adaptnn import MetricMatrix, pairwise_sq, psd_project
-from helpers import mahalanobis_sq, random_psd
+from adaptnn import MetricMatrix, load, pairwise_sq, psd_project
+from helpers import mahalanobis_sq, pairwise_sq_oracle, random_psd
+
+IRIS = Path(__file__).resolve().parent.parent / "datasets" / "iris.csv"
 
 
 def test_euclidean_squared_norm():
@@ -68,6 +73,49 @@ def test_distance_table_matches_pairwise_oracle():
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert table[i, j] == pytest.approx(mahalanobis_sq(m, a, b), abs=1e-10)
+
+
+def _metrics(rng, d):
+    a = rng.normal(size=(d, d))
+    return MetricMatrix(a @ a.T), a  # a raw non-symmetric array too
+
+
+@pytest.mark.parametrize("n, k, d", [
+    (59, 119, 13),     # a wine split: held-out rows against its train rows
+    (1500, 1500, 24),  # the N = 1500, d = 24 sweep
+    (40, None, 5),
+    (7, 1, 3),
+])
+def test_distance_table_equals_two_product_oracle(n, k, d):
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(size=(n, d))
+    y = None if k is None else rng.normal(size=(k, d))
+    for m in _metrics(rng, d):
+        assert np.array_equal(pairwise_sq(m, x, y), pairwise_sq_oracle(m, x, y))
+
+
+def test_distance_table_equals_oracle_on_iris():
+    x = load(IRIS).features
+    for m in _metrics(np.random.default_rng(9), x.shape[1]):
+        assert np.array_equal(pairwise_sq(m, x), pairwise_sq_oracle(m, x))
+        assert np.array_equal(pairwise_sq(m, x[::3], x[1::3]),
+                              pairwise_sq_oracle(m, x[::3], x[1::3]))
+
+
+def test_distance_table_peak_memory():
+    # the result plus one (n, k) working table; three or more means a
+    # temporary table per term
+    rng = np.random.default_rng(10)
+    x, y = rng.normal(size=(600, 10)), rng.normal(size=(700, 10))
+    m = MetricMatrix(random_psd(rng, 10))
+    pairwise_sq(m, x, y)
+    tracemalloc.start()
+    try:
+        table = pairwise_sq(m, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * table.nbytes
 
 
 def test_psd_project_drops_negative_eigenvalue():
