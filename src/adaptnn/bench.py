@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,8 @@ class ExperimentConfig:
         for name in ("alpha_grid", "gamma_grid", "k_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError("%s must be non-empty" % name)
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s values must be finite" % name)
         if self.method == "ann_plus" and any(a <= 0 for a in self.alpha_grid):
             raise ValueError("ann_plus requires a positive alpha grid")
         if self.method == "ann_minus" and any(a >= 0 for a in self.alpha_grid):
@@ -124,7 +126,7 @@ def cv_fold_ids(labels, folds: int, rng) -> np.ndarray:
 
 
 def _subset(data: Dataset, idx) -> Dataset:
-    return Dataset(data.features[idx], data.labels[idx], data.names)
+    return Dataset(data.features[idx], data.labels[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +264,9 @@ def emit_report(records, path) -> None:
     written; both files go to '.tmp' siblings first and are then moved into
     place, so an existing report is never left half-overwritten."""
     path = str(path)
-    lines = [json.dumps({
-        "method": r.method, "dataset": r.dataset,
-        "alpha": r.alpha, "gamma": r.gamma, "k": r.k,
-        "accuracies": r.accuracies, "mean": r.mean, "std": r.std,
-        "wall_time_seconds": r.wall_time_seconds,
-        "acc_by_k": {str(k): v for k, v in r.acc_by_k.items()},
-        "extras": r.extras,
-    }, allow_nan=False) + "\n" for r in records]
+    lines = [json.dumps({**asdict(r),
+                         "acc_by_k": {str(k): v for k, v in r.acc_by_k.items()}},
+                        allow_nan=False) + "\n" for r in records]
     with open(path + ".tmp", "w", encoding="utf-8") as f:
         f.writelines(lines)
     with open(path + ".curves.tmp", "w", encoding="utf-8") as f:
@@ -292,15 +289,9 @@ def parse_report(path) -> list:
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            records.append(AccuracyRecord(
-                method=d["method"], dataset=d["dataset"], alpha=d["alpha"],
-                gamma=d["gamma"], k=d["k"], accuracies=d["accuracies"],
-                mean=d["mean"], std=d["std"],
-                wall_time_seconds=d["wall_time_seconds"],
-                acc_by_k={int(k): v for k, v in d["acc_by_k"].items()},
-                extras=d.get("extras", {}),
-            ))
+            fields = json.loads(line)
+            fields["acc_by_k"] = {int(k): v for k, v in fields["acc_by_k"].items()}
+            records.append(AccuracyRecord(**fields))
     return records
 
 

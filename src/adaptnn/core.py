@@ -7,7 +7,6 @@ they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,12 +27,11 @@ class Dataset:
     Construction validates all invariants; see :func:`validate`.
     """
 
-    __slots__ = ("features", "labels", "names", "n_samples", "n_features", "n_classes")
+    __slots__ = ("features", "labels", "n_samples", "n_features", "n_classes")
 
-    def __init__(self, features, labels, names: Optional[Sequence[str]] = None):
+    def __init__(self, features, labels):
         self.features = _readonly(np.asarray(features, dtype=float))
         self.labels = _readonly(np.asarray(labels, dtype=int))
-        self.names = tuple(names) if names is not None else None
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array, got ndim=%d" % self.features.ndim)
         self.n_samples, self.n_features = self.features.shape
@@ -70,8 +68,6 @@ def validate(dataset: Dataset) -> None:
     counts = np.bincount(y, minlength=c + 1)[1:]
     if (counts == 0).any():
         raise ValueError("class %d has no samples" % (int(np.flatnonzero(counts == 0)[0]) + 1))
-    if dataset.names is not None and len(dataset.names) != d:
-        raise ValueError("expected %d column names, got %d" % (d, len(dataset.names)))
 
 
 class MetricMatrix:
@@ -126,14 +122,14 @@ class MetricMatrix:
 class NeighborSets:
     """Per-sample similarity sets S_i (same class) and dissimilarity sets D_i.
 
-    Stored as flattened pair arrays, one pair per (sample, neighbor): owner
-    index, neighbor index and CSR-style segment pointers, so S_i is
-    ``sim_nbr[sim_ptr[i]:sim_ptr[i + 1]]``. :attr:`similar` and
-    :attr:`dissimilar` are per-sample read-only views of those arrays.
+    Stored CSR-style, one flat neighbor array and one segment-pointer array
+    per side, so S_i is ``sim_nbr[sim_ptr[i]:sim_ptr[i + 1]]``; the pointers
+    say which sample owns each pair, so no owner array is kept.
+    :attr:`similar` and :attr:`dissimilar` are per-sample read-only views of
+    the neighbor arrays.
     """
 
-    __slots__ = ("sim_owner", "sim_nbr", "sim_ptr",
-                 "dis_owner", "dis_nbr", "dis_ptr")
+    __slots__ = ("sim_nbr", "sim_ptr", "dis_nbr", "dis_ptr")
 
     def __init__(self, similar, dissimilar, labels=None):
         n = len(similar)
@@ -157,17 +153,18 @@ class NeighborSets:
                           "S_%d contains a different-class sample"),
                          (_owns(d_owner, labels[d_nbr] == labels[d_owner], n),
                           "D_%d contains a same-class sample"))
-        self.sim_owner, self.sim_nbr, self.sim_ptr = s_owner, s_nbr, s_ptr
-        self.dis_owner, self.dis_nbr, self.dis_ptr = d_owner, d_nbr, d_ptr
+        self.sim_nbr, self.sim_ptr = s_nbr, s_ptr
+        self.dis_nbr, self.dis_ptr = d_nbr, d_ptr
 
     @staticmethod
     def _flatten(sets):
+        """(owner, nbr, ptr) of one side; the owners serve validation only."""
         sets = [np.asarray(s, dtype=int) for s in sets]
         counts = np.array([s.size for s in sets], dtype=int)
         ptr = np.concatenate(([0], np.cumsum(counts)))
         owner = np.repeat(np.arange(len(sets)), counts)
         nbr = np.concatenate(sets) if sets else np.empty(0, dtype=int)
-        return _readonly(owner), _readonly(nbr), _readonly(ptr)
+        return owner, _readonly(nbr), _readonly(ptr)
 
     @property
     def similar(self) -> tuple:
@@ -224,6 +221,10 @@ class HyperParams:
     eta0: float = 1e-3
 
     def __post_init__(self):
+        for name in ("alpha", "gamma", "lam"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError("%s must be finite, got %g" % (name, value))
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
         if not self.gamma > 0:

@@ -168,7 +168,7 @@ def apply_zscore(p: Preprocessor, data: Dataset) -> Dataset:
         raise ValueError("preprocessor not fitted for z-scoring")
     X = data.features - p.means
     divisor = np.where(p.stds < CONSTANT_COLUMN_TOL, 1.0, p.stds)
-    return Dataset(X / divisor, data.labels, data.names)
+    return Dataset(X / divisor, data.labels)
 
 
 def fit_pca(data: Dataset, target_dim: int) -> Preprocessor:

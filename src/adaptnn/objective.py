@@ -20,17 +20,18 @@ and then dJ/dM at each accepted iterate; the evaluator computes that
 iterate's quadratic forms and soft sides once and hands them from the one
 call to the other.
 
-The evaluator reads the neighbor sets as their flattened (owner, neighbor)
-pair arrays and reduces every sample's segment of distances with the
-per-segment soft aggregate of :mod:`adaptnn.softagg`; its
-:func:`~adaptnn.softagg.soft_agg` is the one-segment case. Since d_M is
-symmetric, it keeps one difference row per unordered pair {i, j}, however
-many of the two sides list it as (i, j) or (j, i), and two inverse maps from
-the similar and the dissimilar pairs to those rows. D_i is every other-class
-sample, so each dissimilar pair is listed twice, and so is each similar pair
-under "all_same_class": each quadratic form is computed once instead. The
-pass runs over the rows in fixed-size blocks, so its product with M stays
-cache-sized at any N.
+The evaluator reads the neighbor sets as their CSR arrays and reduces every
+sample's segment of distances with the per-segment soft aggregate of
+:mod:`adaptnn.softagg`; its :func:`~adaptnn.softagg.soft_agg` is the
+one-segment case. Since d_M is symmetric, it keeps one difference row per
+unordered pair {i, j}, however many of the two sides list it as (i, j) or
+(j, i), and two inverse maps from the similar and the dissimilar pairs to
+those rows. D_i is every other-class sample, so each dissimilar pair is
+listed twice, and so is each similar pair under "all_same_class": each
+quadratic form is computed once instead. The pass runs over the rows in
+fixed-size blocks, so its product with M stays cache-sized at any N. The
+gradient sums each row's pair weights through the same maps and scatters
+them once, to the row's (min, max) entry of w.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _sigmoid(z):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation over flattened neighbor pairs
+# Vectorized evaluation over the neighbor pairs, one row per unordered pair
 
 
 # unique pair rows per quadratic-form block: the block's (rows x d) product
@@ -134,12 +135,13 @@ class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
     The difference rows ``diff`` (one per unordered pair, x_min - x_max),
-    the maps ``inv_s``/``inv_d`` from each similar and dissimilar pair to
-    its row, the flat (owner, neighbor) indices of every pair and the
-    centred features are built once up front. Reuse one instance across
-    optimizer iterations: none of them depends on the metric. Every method
-    accepts a MetricMatrix or a raw square array (needed by finite-difference
-    checks, which step off the PSD cone).
+    their keys min*N + max, the maps ``inv_s``/``inv_d`` from each similar
+    and dissimilar pair to its row and the centred features are built once
+    up front; each pair's owner is derived from the CSR pointers only to
+    key the rows. Reuse one instance across optimizer iterations: none of
+    them depends on the metric. Every method accepts a MetricMatrix or a
+    raw square array (needed by finite-difference checks, which step off
+    the PSD cone).
 
     The quadratic forms d_M of the pairs are the only per-pair d^2 work and
     always come from the difference rows, which keeps J free of
@@ -147,7 +149,11 @@ class PairEvaluator:
     out per pair through the inverse maps; negating a row is exact, so they
     equal the per-pair forms bit for bit. The gradient is formed as the
     centred weighted Laplacian Xc^T (diag(W 1) - W) Xc, where W is the
-    symmetrized N x N matrix of pair weights.
+    symmetrized N x N matrix of pair weights. Each row's weights are summed
+    and written to its (min, max) entry before w + w^T; when every
+    unordered pair is listed on one side only and at most once each way,
+    as in every set :func:`~adaptnn.data.build_neighbor_sets` makes, W
+    equals the per-listed-pair scatter bit for bit.
 
     :meth:`objective` keeps a one-entry memo of the soft sides it computed
     at a MetricMatrix (immutable, so identity means the same matrix); a
@@ -164,28 +170,28 @@ class PairEvaluator:
         self.hp = hp
         x = data.features
         n = data.n_samples
-        self.flat_s = nbrs.sim_owner * n + nbrs.sim_nbr
-        self.flat_d = nbrs.dis_owner * n + nbrs.dis_nbr
-        # one row per unordered pair, keyed min*n + max; a pair listed as both
-        # (i, j) and (j, i) shares its row
-        key_s = np.minimum(self.flat_s, nbrs.sim_nbr * n + nbrs.sim_owner)
-        key_d = np.minimum(self.flat_d, nbrs.dis_nbr * n + nbrs.dis_owner)
-        seen = np.zeros(n * n, dtype=bool)
-        seen[key_s] = True
-        seen[key_d] = True
-        keys = np.flatnonzero(seen)
-        row = np.empty(n * n, dtype=np.intp)
-        row[keys] = np.arange(keys.size)
-        self.inv_s, self.inv_d = row[key_s], row[key_d]
-        del seen, row, key_s, key_d  # before the rows are allocated
-        lo, hi = np.divmod(keys, n)
-        self.diff = np.empty((keys.size, x.shape[1]))
-        for b in _blocks(keys.size):
-            np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
-        self.sim_owner, self.dis_owner = nbrs.sim_owner, nbrs.dis_owner
         self.sim_ptr, self.dis_ptr = nbrs.sim_ptr, nbrs.dis_ptr
         self.sim_counts = nbrs.sim_ptr[1:] - nbrs.sim_ptr[:-1]
         self.dis_counts = nbrs.dis_ptr[1:] - nbrs.dis_ptr[:-1]
+        # one row per unordered pair, keyed min*n + max; a pair listed as both
+        # (i, j) and (j, i) shares its row
+        s_owner = np.repeat(np.arange(n), self.sim_counts)
+        d_owner = np.repeat(np.arange(n), self.dis_counts)
+        key_s = np.minimum(s_owner * n + nbrs.sim_nbr, nbrs.sim_nbr * n + s_owner)
+        key_d = np.minimum(d_owner * n + nbrs.dis_nbr, nbrs.dis_nbr * n + d_owner)
+        del s_owner, d_owner
+        seen = np.zeros(n * n, dtype=bool)
+        seen[key_s] = True
+        seen[key_d] = True
+        self.keys = np.flatnonzero(seen)
+        row = np.empty(n * n, dtype=np.intp)
+        row[self.keys] = np.arange(self.keys.size)
+        self.inv_s, self.inv_d = row[key_s], row[key_d]
+        del seen, row, key_s, key_d  # before the rows are allocated
+        lo, hi = np.divmod(self.keys, n)
+        self.diff = np.empty((self.keys.size, x.shape[1]))
+        for b in _blocks(self.keys.size):
+            np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
         self.xc = x - x.mean(axis=0)
         self._memo = None  # (MetricMatrix, sim, dis, u) of the last objective
 
@@ -232,11 +238,16 @@ class PairEvaluator:
         # softmax weight of each pair inside its own segment (in place)
         r_s = np.divide(e_s, np.repeat(tot_s, self.sim_counts), out=e_s)
         r_d = np.divide(e_d, np.repeat(tot_d, self.dis_counts), out=e_d)
-        w_s = xi[self.sim_owner] * r_s + hp.lam
-        w_d = xi[self.dis_owner] * r_d
+        w_s = np.repeat(xi, self.sim_counts) * r_s + hp.lam
+        w_d = np.repeat(xi, self.dis_counts) * r_d
+        # each unordered pair's weight, summed over its listings, lands in the
+        # upper triangle; w + w.T mirrors it
+        rows = self.keys.size
         n = self.xc.shape[0]
-        w = (np.bincount(self.flat_s, w_s, n * n)
-             - np.bincount(self.flat_d, w_d, n * n)).reshape(n, n)
+        w = np.zeros(n * n)
+        w[self.keys] = (np.bincount(self.inv_s, w_s, rows)
+                        - np.bincount(self.inv_d, w_d, rows))
+        w = w.reshape(n, n)
         w = w + w.T
         grad = (self.xc.T * w.sum(axis=1)) @ self.xc - self.xc.T @ (w @ self.xc)
         return (grad + grad.T) / 2.0
@@ -283,8 +294,6 @@ def pnca_objective(m, data: Dataset, nbrs: NeighborSets, alpha: float) -> float:
     With alpha = 1 and S_i/D_i the full same/other-class sets this equals
     :func:`nca_objective`. Each summand lies in (0, 1).
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
     ds, dd = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).soft_sides(m)
     # ln A_i = ln|S_i|/alpha - ds_i and ln B_i = ln|D_i| - dd_i
     log_a = np.log(np.diff(nbrs.sim_ptr)) / alpha - ds

@@ -1,12 +1,14 @@
 """Shared test fixtures: random labeled instances and PSD matrices, plus the
-per-sample reference path (one pair and one sample at a time) that tests
-compare the vectorized PairEvaluator against."""
+reference paths that tests compare the vectorized PairEvaluator against: the
+per-sample one (one pair and one sample at a time) and the listed-pair one
+(every (owner, neighbor) pair scattered on its own)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from adaptnn import Dataset, MetricMatrix, build_neighbor_sets, soft_agg
+from adaptnn.softagg import _segment_soft_agg
 
 
 def make_dataset(rng, n=15, d=4, classes=2, scale=1.0):
@@ -64,6 +66,12 @@ def pairwise_sq_oracle(m, x, y=None):
     return np.maximum(qx[:, None] + qy[None, :] - cross, 0.0)
 
 
+def owners(ptr):
+    """The sample that owns each pair of a CSR side with pointers ptr."""
+    ptr = np.asarray(ptr)
+    return np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+
+
 def pair_quadforms(m, data, nbrs):
     """(q_s, q_d): d_M over every listed (owner, neighbor) pair in list
     order, one difference row x_owner - x_nbr per pair, clamped at 0."""
@@ -74,7 +82,31 @@ def pair_quadforms(m, data, nbrs):
         d = x[owner] - x[nbr]
         return np.maximum(np.einsum("pi,pi->p", d @ mm, d), 0.0)
 
-    return side(nbrs.sim_owner, nbrs.sim_nbr), side(nbrs.dis_owner, nbrs.dis_nbr)
+    return (side(owners(nbrs.sim_ptr), nbrs.sim_nbr),
+            side(owners(nbrs.dis_ptr), nbrs.dis_nbr))
+
+
+def listed_pair_evaluation(m, data, nbrs, hp):
+    """(ds, dd, J, dJ/dM) with each listed pair's gradient weight scattered
+    on its own to [owner, neighbor] of an N x N matrix w, symmetrized as
+    w + w^T: the evaluator's operations in its order, without the
+    unordered-pair rows."""
+    q_s, q_d = pair_quadforms(m, data, nbrs)
+    ds, e_s, tot_s = _segment_soft_agg(q_s, hp.alpha, nbrs.sim_ptr, np.diff(nbrs.sim_ptr))
+    dd, e_d, tot_d = _segment_soft_agg(q_d, 1.0, nbrs.dis_ptr, np.diff(nbrs.dis_ptr))
+    u = (ds - dd) / hp.gamma
+    j = float(hp.loss.value(u).sum()) + hp.lam * float(q_s.sum())
+    xi = hp.loss.derivative(u) / hp.gamma
+    s_owner, d_owner = owners(nbrs.sim_ptr), owners(nbrs.dis_ptr)
+    w_s = xi[s_owner] * (e_s / tot_s[s_owner]) + hp.lam
+    w_d = xi[d_owner] * (e_d / tot_d[d_owner])
+    n = data.n_samples
+    w = (np.bincount(s_owner * n + nbrs.sim_nbr, w_s, n * n)
+         - np.bincount(d_owner * n + nbrs.dis_nbr, w_d, n * n)).reshape(n, n)
+    w = w + w.T
+    xc = data.features - data.features.mean(axis=0)
+    grad = (xc.T * w.sum(axis=1)) @ xc - xc.T @ (w @ xc)
+    return ds, dd, j, (grad + grad.T) / 2.0
 
 
 def neighbor_weights(distances, alpha: float) -> np.ndarray:

@@ -187,6 +187,18 @@ def test_report_roundtrip(tmp_path):
     assert "curve=raw" in curves and "curve=smoothed" in curves
 
 
+def test_emit_report_line_bytes(tmp_path):
+    # the report format: the record's fields in declaration order, K keys as
+    # strings, extras as given
+    out = tmp_path / "r.jsonl"
+    emit_report([_record(extras={"nca_objective": [12.5, 13.0], "note": "x"})], out)
+    assert out.read_bytes() == (
+        b'{"method": "ann_plus", "dataset": "synth", "alpha": 4.0, "gamma": 0.5, '
+        b'"k": 7, "accuracies": [0.9, 1.0], "mean": 0.95, "std": 0.05, '
+        b'"wall_time_seconds": 1.25, "acc_by_k": {"1": 0.9, "4": 0.95}, '
+        b'"extras": {"nca_objective": [12.5, 13.0], "note": "x"}}\n')
+
+
 def test_emit_report_empty(tmp_path):
     out = tmp_path / "empty.jsonl"
     emit_report([], out)
@@ -298,6 +310,14 @@ def test_config_validation(tmp_path):
                          alpha_grid=(1.0,))
     with pytest.raises(ValueError):
         ExperimentConfig(dataset="x", path="p", split_fraction=1.5)
+    for grids in ({"alpha_grid": (1.0, float("nan"))},
+                  {"method": "ann_minus", "alpha_grid": (float("nan"),)},
+                  {"alpha_grid": (float("inf"),)},
+                  {"gamma_grid": (float("inf"),)},
+                  {"gamma_grid": (float("nan"),)},
+                  {"k_grid": (1, float("inf"))}):
+        with pytest.raises(ValueError, match="must be finite"):
+            ExperimentConfig(dataset="x", path="p", **grids)
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("dataset = toy\n")
     with pytest.raises(ValueError, match="dataset_path or registry"):

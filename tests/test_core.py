@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adaptnn import Dataset, HyperParams, MetricMatrix, NeighborSets, validate
+from helpers import owners
 
 
 def test_valid_small_dataset():
@@ -101,7 +102,7 @@ def test_neighbor_sets_validation():
 
 def test_neighbor_sets_flat_arrays():
     ns = NeighborSets([[1, 2], [0], [0, 1]], [[2], [0], [1]])
-    assert ns.sim_owner.tolist() == [0, 0, 1, 2, 2]
+    assert owners(ns.sim_ptr).tolist() == [0, 0, 1, 2, 2]
     assert ns.sim_nbr.tolist() == [1, 2, 0, 0, 1]
     assert ns.sim_ptr.tolist() == [0, 2, 3, 5]
     assert ns.dis_ptr.tolist() == [0, 1, 2, 3]
@@ -109,8 +110,7 @@ def test_neighbor_sets_flat_arrays():
 
 
 def test_neighbor_sets_store_only_flat_arrays():
-    assert set(NeighborSets.__slots__) == {"sim_owner", "sim_nbr", "sim_ptr",
-                                           "dis_owner", "dis_nbr", "dis_ptr"}
+    assert set(NeighborSets.__slots__) == {"sim_nbr", "sim_ptr", "dis_nbr", "dis_ptr"}
     similar, dissimilar = [[1, 2], [0], [0, 1]], [[2], [0], [1]]
     ns = NeighborSets(similar, dissimilar)
     assert ns.n_samples == 3
@@ -123,11 +123,13 @@ def test_neighbor_sets_store_only_flat_arrays():
 
 
 def test_hyperparams_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
         HyperParams(alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma must be > 0"):
         HyperParams(alpha=1.0, gamma=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        HyperParams(alpha=1.0, gamma=-1.0)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
         HyperParams(alpha=1.0, lam=-0.1)
     with pytest.raises(ValueError):
         HyperParams(alpha=1.0, max_iters=0)
@@ -135,3 +137,10 @@ def test_hyperparams_validation():
         HyperParams(alpha=1.0, eta0=0.0)
     hp = HyperParams(alpha=-2.0)
     assert hp.loss is not None and hp.loss.margin == 1.0
+
+
+@pytest.mark.parametrize("field", ["alpha", "gamma", "lam"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_hyperparams_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        HyperParams(**{"alpha": 1.0, field: value})

@@ -6,9 +6,9 @@ from adaptnn import (Dataset, HingeLoss, HyperParams, IdentityLoss, MetricMatrix
                      NeighborSets, SoftplusLoss, ann_gradient, ann_objective,
                      build_neighbor_sets, nca_objective, pnca_objective, soft_agg)
 from adaptnn.objective import PairEvaluator
-from helpers import (mahalanobis_sq, make_dataset, make_instance, neighbor_weights,
-                     pair_quadforms, per_sample_terms, random_psd, side_distances,
-                     soft_distances)
+from helpers import (listed_pair_evaluation, mahalanobis_sq, make_dataset,
+                     make_instance, neighbor_weights, owners, pair_quadforms,
+                     per_sample_terms, random_psd, side_distances, soft_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +361,24 @@ def test_gradient_translation_invariant():
     _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
 
 
-def test_gradient_matches_oracle_with_mutual_neighbors():
+def _listed_pairs(ptr, nbr):
+    return set(zip(owners(ptr).tolist(), nbr.tolist()))
+
+
+def _mutual_knn_case():
     # unequal classes and k-NN similar sets: mutual neighbors put weight on
     # both (i, j) and (j, i), which the symmetrized pair-weight matrix adds up
     rng = np.random.default_rng(15)
     labels = np.repeat([1, 2, 3, 4], [40, 25, 15, 10])
     data = Dataset(rng.normal(size=(90, 6)), rng.permutation(labels))
     nbrs = build_neighbor_sets(data, mode="knn_same_class", k0=5)
-    pairs = set(zip(nbrs.sim_owner.tolist(), nbrs.sim_nbr.tolist()))
+    pairs = _listed_pairs(nbrs.sim_ptr, nbrs.sim_nbr)
     assert any((j, i) in pairs for (i, j) in pairs)
-    m = random_psd(rng, 6, jitter=0.1)
+    return data, nbrs, random_psd(rng, 6, jitter=0.1)
+
+
+def test_gradient_matches_oracle_with_mutual_neighbors():
+    data, nbrs, m = _mutual_knn_case()
     hp = HyperParams(alpha=2.0, gamma=1.5, lam=0.01,
                      loss=SoftplusLoss(margin=0.5, sharpness=2.0))
     got = PairEvaluator(data, nbrs, hp).gradient(m)
@@ -382,9 +390,9 @@ def test_gradient_matches_oracle_with_mutual_neighbors():
 
 
 def _unordered_pairs(nbrs):
-    owner = np.concatenate([nbrs.sim_owner, nbrs.dis_owner])
-    nbr = np.concatenate([nbrs.sim_nbr, nbrs.dis_nbr])
-    return {(min(i, j), max(i, j)) for i, j in zip(owner.tolist(), nbr.tolist())}
+    listed = (_listed_pairs(nbrs.sim_ptr, nbrs.sim_nbr)
+              | _listed_pairs(nbrs.dis_ptr, nbrs.dis_nbr))
+    return {(min(i, j), max(i, j)) for i, j in listed}
 
 
 def _quadform_case(case):
@@ -395,7 +403,7 @@ def _quadform_case(case):
     elif case == "knn_non_mutual":
         data, nbrs = make_instance(rng, n=40, d=4, classes=3,
                                    mode="knn_same_class", k0=3)
-        pairs = set(zip(nbrs.sim_owner.tolist(), nbrs.sim_nbr.tolist()))
+        pairs = _listed_pairs(nbrs.sim_ptr, nbrs.sim_nbr)
         assert any((j, i) not in pairs for (i, j) in pairs)
     elif case == "blocks":
         # more unique pairs than one block holds, and a ragged last block
@@ -428,6 +436,24 @@ def test_quadforms_equal_per_pair_oracle(case):
     assert np.array_equal(q_d, e_d)
 
 
+@pytest.mark.parametrize("case", ["all_same_class", "knn_non_mutual", "blocks",
+                                  "duplicates", "raw_array", "mutual_knn"])
+@pytest.mark.parametrize("hp", [
+    HyperParams(alpha=2.0, gamma=1.5, lam=0.01),
+    HyperParams(alpha=-2.0, gamma=0.5, lam=0.003,
+                loss=SoftplusLoss(margin=0.5, sharpness=2.0))])
+def test_evaluator_equals_listed_pair_scatter(case, hp):
+    # the gradient sums each unordered pair's weights and scatters them once;
+    # soft sides, J and dJ/dM must equal the per-listed-pair scatter bit for bit
+    data, nbrs, m = _mutual_knn_case() if case == "mutual_knn" else _quadform_case(case)
+    ds, dd, j, grad = listed_pair_evaluation(m, data, nbrs, hp)
+    ev = PairEvaluator(data, nbrs, hp)
+    got_ds, got_dd = ev.soft_sides(m)
+    assert np.array_equal(got_ds, ds) and np.array_equal(got_dd, dd)
+    assert ev.objective(m) == j
+    assert np.array_equal(ev.gradient(m), grad)
+
+
 def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
     rng = np.random.default_rng(18)
     data, nbrs = make_instance(rng, n=30, d=3, classes=3)
@@ -442,7 +468,7 @@ def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
     monkeypatch.setattr(np, "einsum", counting_einsum)
     PairEvaluator(data, nbrs, HyperParams(alpha=2.0)).objective(MetricMatrix.identity(3))
     # all_same_class lists every pair from both ends, on either side
-    n_listed = nbrs.sim_owner.size + nbrs.dis_owner.size
+    n_listed = nbrs.sim_nbr.size + nbrs.dis_nbr.size
     assert sum(rows) == len(_unordered_pairs(nbrs)) == n_listed // 2
 
 
@@ -590,5 +616,6 @@ def test_pnca_matches_direct_recomputation():
 def test_pnca_rejects_zero_alpha():
     rng = np.random.default_rng(12)
     data, nbrs = make_instance(rng, n=8, d=2, classes=2)
-    with pytest.raises(ValueError):
-        pnca_objective(MetricMatrix.identity(2), data, nbrs, 0.0)
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            pnca_objective(MetricMatrix.identity(2), data, nbrs, alpha)
