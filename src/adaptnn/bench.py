@@ -156,6 +156,16 @@ def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
                    key=lambda t: (abs(t[0]), t[1]))
     if len(cells) == 1:
         return cells[0]
+    # a class with fewer than 2 samples in a fold's training part would drop
+    # out of that fold's neighbor sets
+    for c in range(1, train_ds.n_classes + 1):
+        in_c = folds[train_ds.class_indices(c)]
+        fewest = in_c.size - np.bincount(in_c).max()
+        if fewest < 2:
+            raise ValueError("class %d is left with %d training sample(s) in a "
+                             "fold with cv_folds=%d; cross-validation needs >= 2 "
+                             "per class in every fold's training part"
+                             % (c, fewest, cfg.cv_folds))
     fold_scores = [[] for _ in cells]
     for f in range(cfg.cv_folds):
         tr = _subset(train_ds, folds != f)

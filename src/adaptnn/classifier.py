@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, MetricMatrix
-from .metric import pairwise_sq
+from .metric import _table_blocks, pairwise_sq
 from .softagg import topk_avg_smallest
 
 
@@ -41,24 +41,30 @@ def _check_fit(train: Dataset, metric: MetricMatrix, ks) -> None:
                          % (metric.dim, train.n_features))
 
 
-def _predictions(train: Dataset, dists: np.ndarray, ks) -> np.ndarray:
-    """(len(ks), n_queries) predicted class ids, one row per K in ks, from the
-    query-to-train distance table.
+def _predictions(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
+                 ks) -> np.ndarray:
+    """(len(ks), n_queries) predicted class ids, one row per K in ks.
 
-    Each class's columns are gathered once. Every K but the last partitions a
-    layout-preserving copy of that block, as np.partition does; the last
-    partitions the block itself, which nothing reads afterwards. So every K
+    The query-to-train distance table is scored row block by row block as it
+    is finished, while each block is still in cache. In a block, each class's
+    columns are gathered once. Every K but the last partitions a
+    layout-preserving copy of them, as np.partition does; the last partitions
+    the gathered block itself, which nothing reads afterwards. So every K
     averages the same values in the same order as np.partition of freshly
     gathered columns would.
     """
-    scores = np.empty((len(ks), dists.shape[0], train.n_classes))
-    for c in range(1, train.n_classes + 1):
-        block = dists[:, train.class_indices(c)]
-        for i, k in enumerate(ks):
-            kc = min(k, block.shape[1])
-            part = block if i == len(ks) - 1 else block.copy(order="K")
-            part.partition(kc - 1, axis=1)
-            scores[i, :, c - 1] = part[:, :kc].mean(axis=1)
+    scores = np.empty((len(ks), len(queries), train.n_classes))
+    columns = [train.class_indices(c) for c in range(1, train.n_classes + 1)]
+    _, blocks = _table_blocks(metric, queries, train.features)
+    for lo, block in blocks:
+        rows = slice(lo, lo + len(block))
+        for c, idx in enumerate(columns):
+            gathered = block[:, idx]
+            for i, k in enumerate(ks):
+                kc = min(k, gathered.shape[1])
+                part = gathered if i == len(ks) - 1 else gathered.copy(order="K")
+                part.partition(kc - 1, axis=1)
+                scores[i, rows, c] = part[:, :kc].mean(axis=1)
     return np.argmin(scores, axis=2) + 1
 
 
@@ -85,8 +91,7 @@ def predict(fit: FitKnn, x) -> int:
 def predict_batch(fit: FitKnn, x) -> np.ndarray:
     """Vectorized predict over rows of x."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    dists = pairwise_sq(fit.metric, x, fit.train.features)
-    return _predictions(fit.train, dists, (fit.k,))[0]
+    return _predictions(fit.train, fit.metric, x, (fit.k,))[0]
 
 
 def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
@@ -98,8 +103,7 @@ def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
     if test.n_features != train.n_features:
         raise ValueError("test has %d features, train has %d"
                          % (test.n_features, train.n_features))
-    dists = pairwise_sq(metric, test.features, train.features)
-    preds = _predictions(train, dists, ks)
+    preds = _predictions(train, metric, test.features, ks)
     return {k: float(np.mean(pred == test.labels)) for k, pred in zip(ks, preds)}
 
 

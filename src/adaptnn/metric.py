@@ -18,10 +18,19 @@ def _as_array(m) -> np.ndarray:
     return m.m if isinstance(m, MetricMatrix) else np.asarray(m, dtype=float)
 
 
-def pairwise_sq(m, x, y=None) -> np.ndarray:
-    """All squared distances d_M(x_i, y_j) as an (n, k) table, clamped >= 0.
+# Elements in one row block of a distance table (512 KiB of float64): each
+# block is finished, and scored by the classifier, while it is still in L2.
+_TABLE_BLOCK = 1 << 16
 
-    With y omitted, the table is the full n x n self-distance matrix.
+
+def _table_blocks(m, x, y=None):
+    """(table, blocks) for the (n, k) squared-distance table d_M(x_i, y_j).
+
+    The cross term is computed as one product over the whole table, so no
+    product bit depends on the blocking. table holds it, and the generator
+    blocks finishes it in place, row block by row block: it yields (lo, block)
+    once rows lo:lo + len(block) are final and clamped >= 0. The table is
+    complete when blocks is drained.
     """
     mm = _as_array(m)
     x = np.asarray(x, dtype=float)
@@ -31,17 +40,40 @@ def pairwise_sq(m, x, y=None) -> np.ndarray:
     # because the gradient checker perturbs single entries.
     qx = np.einsum("ij,ij->i", xm, x)
     qy = np.einsum("ij,ij->i", y @ mm, y)
-    cross = xm @ y.T
-    if isinstance(m, MetricMatrix):
-        # M is exactly symmetric, so x M^T y^T is the same product bit for bit
-        np.add(cross, cross, out=cross)
-    else:
-        cross += (x @ mm.T) @ y.T
-    # the same operations in the same order as qx + qy - cross, but built in
-    # place: at most two (n, k) tables are alive at once
-    d = qx[:, None] + qy[None, :]
-    d -= cross
-    return np.maximum(d, 0.0, out=d)
+    table = xm @ y.T
+    symmetric = isinstance(m, MetricMatrix)
+    if not symmetric:
+        table += (x @ mm.T) @ y.T
+    return table, _finish_rows(table, qx, qy, symmetric)
+
+
+def _finish_rows(table, qx, qy, symmetric):
+    """The blocks generator of _table_blocks."""
+    n, k = table.shape
+    step = max(1, _TABLE_BLOCK // max(1, k))
+    buf = np.empty((min(step, n), k))
+    for lo in range(0, n, step):
+        block = table[lo:lo + step]
+        if symmetric:
+            # M is exactly symmetric, so x M^T y^T is the same product bit
+            # for bit
+            np.add(block, block, out=block)
+        # the same operations in the same order as qx + qy - cross
+        sums = np.add(qx[lo:lo + step, None], qy[None, :], out=buf[:len(block)])
+        np.subtract(sums, block, out=block)
+        yield lo, np.maximum(block, 0.0, out=block)
+
+
+def pairwise_sq(m, x, y=None) -> np.ndarray:
+    """All squared distances d_M(x_i, y_j) as an (n, k) table, clamped >= 0.
+
+    With y omitted, the table is the full n x n self-distance matrix. Building
+    it holds the table plus one row block of _TABLE_BLOCK elements.
+    """
+    table, blocks = _table_blocks(m, x, y)
+    for _ in blocks:
+        pass
+    return table
 
 
 def psd_project(m) -> MetricMatrix:

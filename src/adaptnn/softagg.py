@@ -81,7 +81,13 @@ def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarr
     lo = np.minimum.reduceat(q, starts)
     hi = np.maximum.reduceat(q, starts)
     shift = lo if a > 0 else hi
-    e = np.exp(-a * (q - np.repeat(shift, counts)))
+    # exp(-a (q - shift)) in one buffer: shift - q is exactly -(q - shift),
+    # and a (-x) is exactly (-a) x
+    e = np.repeat(shift, counts)
+    np.subtract(e, q, out=e)
+    if a != 1.0:
+        np.multiply(e, a, out=e)
+    np.exp(e, out=e)
     total = np.add.reduceat(e, starts)
     b = shift - np.log(total / counts) / a
     # the shift bounds b on one side; clamp float drift on the other

@@ -66,6 +66,19 @@ def pairwise_sq_oracle(m, x, y=None):
     return np.maximum(qx[:, None] + qy[None, :] - cross, 0.0)
 
 
+def knn_predictions_oracle(train, metric, queries, k):
+    """K-NN predictions from the whole oracle table: each class's K smallest
+    distances (K capped at the class size) averaged with np.partition, argmin
+    over classes."""
+    table = pairwise_sq_oracle(metric, queries, train.features)
+    scores = []
+    for c in range(1, train.n_classes + 1):
+        block = table[:, train.class_indices(c)]
+        kc = min(k, block.shape[1])
+        scores.append(np.partition(block, kc - 1, axis=1)[:, :kc].mean(axis=1))
+    return np.argmin(np.stack(scores, axis=1), axis=1) + 1
+
+
 def owners(ptr):
     """The sample that owns each pair of a CSR side with pointers ptr."""
     ptr = np.asarray(ptr)

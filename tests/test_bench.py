@@ -95,6 +95,23 @@ def test_cv_builds_each_fold_once(tmp_path, monkeypatch, method, alpha_grid):
     assert counts["fits"] == cfg.repetitions * (cells * cfg.cv_folds + 1)
 
 
+def test_cv_rejects_class_too_small_for_folds(tmp_path, monkeypatch):
+    # class 3 keeps 2 of its 3 samples in the split's train part, and each
+    # of folds 0 and 1 holds one of them out, leaving 1 in that fold's train
+    rng = np.random.default_rng(13)
+    labels = np.repeat([1, 2, 3], [20, 20, 3])
+    p = tmp_path / "small.csv"
+    save(Dataset(rng.normal(size=(labels.size, 3)) + labels[:, None], labels), p)
+    fits = []
+    monkeypatch.setattr(bench, "train", lambda *a, **k: fits.append(a))
+    cfg = ExperimentConfig(dataset="small", path=str(p), method="ann_plus",
+                           alpha_grid=(1.0, 2.0), repetitions=1)
+    with pytest.raises(ValueError, match=r"class 3 is left with 1 training "
+                                         r"sample\(s\) in a fold with cv_folds=5"):
+        run_experiment(cfg)
+    assert fits == []
+
+
 def test_euclidean_baseline_skips_training(tmp_path):
     rng = np.random.default_rng(4)
     _, path = _write_synthetic(tmp_path, rng)

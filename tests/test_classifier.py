@@ -3,7 +3,8 @@ import pytest
 
 from adaptnn import (Dataset, FitKnn, MetricMatrix, accuracy, accuracy_by_k,
                      decision_score, predict, predict_batch)
-from helpers import make_dataset, random_psd
+from adaptnn.metric import _TABLE_BLOCK
+from helpers import knn_predictions_oracle, make_dataset, random_psd
 
 
 def _line_dataset():
@@ -147,6 +148,23 @@ def _check_accuracy_by_k(rng, train, test):
         assert accuracy_by_k(train, metric, test, (k,)) == {k: got[k]}
     after = (train.features, train.labels, test.features, test.labels, metric.m)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_block_scoring_matches_whole_table_oracle():
+    # 3 interleaved classes of unequal size: each row block of the
+    # 150 x 700 table holds _TABLE_BLOCK // 700 = 93 rows, so the queries
+    # span two blocks, the second ragged
+    rng = np.random.default_rng(26)
+    labels = rng.permutation(np.repeat([1, 2, 3], [500, 150, 50]))
+    train = Dataset(rng.normal(size=(labels.size, 3)), labels)
+    test = make_dataset(rng, n=150, d=3, classes=3)
+    assert _TABLE_BLOCK // train.n_samples < test.n_samples
+    metric = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    for k in (1, 7, 60):  # 60 is above the smallest class
+        pred = predict_batch(FitKnn(train=train, metric=metric, k=k), test.features)
+        assert np.array_equal(pred, knn_predictions_oracle(train, metric,
+                                                           test.features, k))
+    _check_accuracy_by_k(rng, train, test)
 
 
 def test_accuracy_by_k_validates_inputs():

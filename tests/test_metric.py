@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adaptnn import MetricMatrix, load, pairwise_sq, psd_project
+from adaptnn.metric import _TABLE_BLOCK
 from helpers import mahalanobis_sq, pairwise_sq_oracle, random_psd
 
 IRIS = Path(__file__).resolve().parent.parent / "datasets" / "iris.csv"
@@ -85,13 +86,20 @@ def _metrics(rng, d):
     (1500, 1500, 24),  # the N = 1500, d = 24 sweep
     (40, None, 5),
     (7, 1, 3),
+    # several row blocks of the table, the last one ragged
+    (3 * (_TABLE_BLOCK // 300) + 5, 300, 6),
+    (1, 3 * _TABLE_BLOCK // 2, 3),  # one row wider than a whole block
+    (2 * _TABLE_BLOCK + 3, 1, 3),   # one column, three blocks
+    (0, 5, 3),                      # no query rows
 ])
 def test_distance_table_equals_two_product_oracle(n, k, d):
     rng = np.random.default_rng(n + d)
     x = rng.normal(size=(n, d))
     y = None if k is None else rng.normal(size=(k, d))
     for m in _metrics(rng, d):
-        assert np.array_equal(pairwise_sq(m, x, y), pairwise_sq_oracle(m, x, y))
+        table = pairwise_sq(m, x, y)
+        assert table.shape == (n, n if k is None else k)
+        assert np.array_equal(table, pairwise_sq_oracle(m, x, y))
 
 
 def test_distance_table_equals_oracle_on_iris():
@@ -116,6 +124,22 @@ def test_distance_table_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * table.nbytes
+
+
+def test_distance_table_holds_one_block_buffer():
+    # the table plus one row block of working space; 5% of the table covers
+    # the (n + k) x d operand products and numpy's ufunc buffers
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(1200, 10)), rng.normal(size=(1400, 10))
+    m = MetricMatrix(random_psd(rng, 10))
+    pairwise_sq(m, x, y)
+    tracemalloc.start()
+    try:
+        table = pairwise_sq(m, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * table.nbytes + 8 * _TABLE_BLOCK
 
 
 def test_psd_project_drops_negative_eigenvalue():
