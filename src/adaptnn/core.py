@@ -20,6 +20,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _non_integral(a: np.ndarray) -> np.ndarray:
+    """Flat indices of the float entries of a that are not integers (a
+    fraction, or not finite), which a cast to int would silently truncate;
+    2.0 passes."""
+    if a.dtype.kind != "f":
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~np.isfinite(a) | (a != np.trunc(a)))
+
+
 class Dataset:
     """N labeled feature vectors in d dimensions.
 
@@ -31,6 +40,11 @@ class Dataset:
 
     def __init__(self, features, labels):
         self.features = _readonly(np.asarray(features, dtype=float))
+        labels = np.asarray(labels)
+        bad = _non_integral(labels)
+        if bad.size:
+            raise ValueError("label of sample %d is not an integer: %g"
+                             % (bad[0], labels.flat[bad[0]]))
         self.labels = _readonly(np.asarray(labels, dtype=int))
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array, got ndim=%d" % self.features.ndim)
@@ -135,12 +149,14 @@ class NeighborSets:
         n = len(similar)
         if len(dissimilar) != n:
             raise ValueError("similar and dissimilar must have equal length")
-        s_owner, s_nbr, s_ptr = self._flatten(similar)
-        d_owner, d_nbr, d_ptr = self._flatten(dissimilar)
+        s_owner, s_nbr, s_ptr, s_bad = self._flatten(similar)
+        d_owner, d_nbr, d_ptr, d_bad = self._flatten(dissimilar)
         # report the lowest faulty sample, and at one sample the first fault
         # listed, as a scan over the samples would
         _raise_first(((np.diff(s_ptr) == 0) | (np.diff(d_ptr) == 0),
                       "empty neighbor set for sample %d"),
+                     (_owns(s_owner, s_bad, n) | _owns(d_owner, d_bad, n),
+                      "a neighbor index of sample %d is not an integer"),
                      (_owns(s_owner, s_owner == s_nbr, n)
                       | _owns(d_owner, d_owner == d_nbr, n),
                       "sample %d contained in its own neighbor set"))
@@ -158,13 +174,18 @@ class NeighborSets:
 
     @staticmethod
     def _flatten(sets):
-        """(owner, nbr, ptr) of one side; the owners serve validation only."""
-        sets = [np.asarray(s, dtype=int) for s in sets]
+        """(owner, nbr, ptr, bad) of one side; the owners serve validation
+        only, and bad indexes the neighbors that are not integers (nbr is then
+        left uncast, and validation rejects it)."""
+        sets = [np.asarray(s) for s in sets]
         counts = np.array([s.size for s in sets], dtype=int)
         ptr = np.concatenate(([0], np.cumsum(counts)))
         owner = np.repeat(np.arange(len(sets)), counts)
         nbr = np.concatenate(sets) if sets else np.empty(0, dtype=int)
-        return owner, _readonly(nbr), _readonly(ptr)
+        bad = _non_integral(nbr)
+        if not bad.size:
+            nbr = _readonly(np.asarray(nbr, dtype=int))
+        return owner, nbr, _readonly(ptr), bad
 
     @property
     def similar(self) -> tuple:

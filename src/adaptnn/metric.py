@@ -36,8 +36,9 @@ def _table_blocks(m, x, y=None):
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
     xm = x @ mm
-    # d_ij = x_i M x_i + y_j M y_j - x_i (M + M^T) y_j; general M supported
-    # because the gradient checker perturbs single entries.
+    # d_ij = x_i M x_i + y_j M y_j - x_i (M + M^T) y_j. M may be any square
+    # array: raw ones reach here through pairwise_sq and nca_objective
+    # (gradient checks never build a table).
     qx = np.einsum("ij,ij->i", xm, x)
     qy = np.einsum("ij,ij->i", y @ mm, y)
     table = xm @ y.T

@@ -15,10 +15,10 @@ weighted-Laplacian form X^T (diag(W 1) - W) X (the identity NCA
 implementations use), so the per-call gradient work is O(P + N^2 d) instead
 of d^2 per pair. X is centred first: the Laplacian annihilates constant
 columns, so the result is the same, but without the centring a large common
-offset in the features cancels catastrophically. The descent loop asks for J
-and then dJ/dM at each accepted iterate; the evaluator computes that
-iterate's quadratic forms and soft sides once and hands them from the one
-call to the other.
+offset in the features cancels catastrophically. The objective returns an
+:class:`Evaluation` holding J and the soft sides it came from, and the
+gradient takes that evaluation, so J and dJ/dM at one metric share one pass
+over the pairs' quadratic forms.
 
 The evaluator reads the neighbor sets as their CSR arrays and reduces every
 sample's segment of distances with the per-segment soft aggregate of
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, HyperParams, MetricMatrix, NeighborSets
+from .core import Dataset, HyperParams, NeighborSets
 from .metric import _as_array, pairwise_sq
 from .softagg import _segment_soft_agg
 
@@ -131,6 +131,29 @@ def _blocks(rows):
     return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, rows, _BLOCK_ROWS)]
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """J at one metric and the terms behind it: the soft sides ds = b(alpha)
+    and dd = b(1), u = (ds - dd) / gamma, and each side's softmax terms
+    (e, total), so a pair's weight within its segment is e / total."""
+
+    j: float
+    ds: np.ndarray
+    dd: np.ndarray
+    u: np.ndarray
+    sim: tuple
+    dis: tuple
+
+
+def _pair_weights(side, xi, counts):
+    """xi_i times each pair's softmax weight e / total, in one pair-sized buffer."""
+    e, total = side
+    w = total.repeat(counts)
+    np.divide(e, w, out=w)
+    np.multiply(w, xi.repeat(counts), out=w)
+    return w
+
+
 class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
@@ -138,10 +161,9 @@ class PairEvaluator:
     their keys min*N + max, the maps ``inv_s``/``inv_d`` from each similar
     and dissimilar pair to its row and the centred features are built once
     up front; each pair's owner is derived from the CSR pointers only to
-    key the rows. Reuse one instance across optimizer iterations: none of
-    them depends on the metric. Every method accepts a MetricMatrix or a
-    raw square array (needed by finite-difference checks, which step off
-    the PSD cone).
+    key the rows. None of them depends on the metric and no call changes
+    them, so one instance serves a whole fit. :meth:`objective` also accepts
+    a raw square array (finite-difference checks step off the PSD cone).
 
     The quadratic forms d_M of the pairs are the only per-pair d^2 work and
     always come from the difference rows, which keeps J free of
@@ -154,13 +176,6 @@ class PairEvaluator:
     unordered pair is listed on one side only and at most once each way,
     as in every set :func:`~adaptnn.data.build_neighbor_sets` makes, W
     equals the per-listed-pair scatter bit for bit.
-
-    :meth:`objective` keeps a one-entry memo of the soft sides it computed
-    at a MetricMatrix (immutable, so identity means the same matrix); a
-    :meth:`gradient` call at that same object reuses them, which is the
-    descent loop's objective-then-gradient pattern, and drops the memo.
-    Raw arrays are never memoized, since they can be changed in place. The
-    memo makes an instance unfit for concurrent use from several threads.
     """
 
     def __init__(self, data: Dataset, nbrs: NeighborSets, hp: HyperParams):
@@ -175,15 +190,15 @@ class PairEvaluator:
         self.dis_counts = nbrs.dis_ptr[1:] - nbrs.dis_ptr[:-1]
         # one row per unordered pair, keyed min*n + max; a pair listed as both
         # (i, j) and (j, i) shares its row
-        s_owner = np.repeat(np.arange(n), self.sim_counts)
-        d_owner = np.repeat(np.arange(n), self.dis_counts)
+        s_owner = np.arange(n).repeat(self.sim_counts)
+        d_owner = np.arange(n).repeat(self.dis_counts)
         key_s = np.minimum(s_owner * n + nbrs.sim_nbr, nbrs.sim_nbr * n + s_owner)
         key_d = np.minimum(d_owner * n + nbrs.dis_nbr, nbrs.dis_nbr * n + d_owner)
         del s_owner, d_owner
         seen = np.zeros(n * n, dtype=bool)
         seen[key_s] = True
         seen[key_d] = True
-        self.keys = np.flatnonzero(seen)
+        self.keys = seen.nonzero()[0]
         row = np.empty(n * n, dtype=np.intp)
         row[self.keys] = np.arange(self.keys.size)
         self.inv_s, self.inv_d = row[key_s], row[key_d]
@@ -192,8 +207,7 @@ class PairEvaluator:
         self.diff = np.empty((self.keys.size, x.shape[1]))
         for b in _blocks(self.keys.size):
             np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
-        self.xc = x - x.mean(axis=0)
-        self._memo = None  # (MetricMatrix, sim, dis, u) of the last objective
+        self.xc = x - x.sum(axis=0) / n  # x.mean(axis=0), bit for bit
 
     def _quadforms(self, m):
         mm = _as_array(m)
@@ -203,43 +217,24 @@ class PairEvaluator:
         np.maximum(q, 0.0, out=q)
         return q[self.inv_s], q[self.inv_d]
 
-    def _soft_sides(self, q_s, q_d):
-        sim = _segment_soft_agg(q_s, self.hp.alpha, self.sim_ptr, self.sim_counts)
-        dis = _segment_soft_agg(q_d, 1.0, self.dis_ptr, self.dis_counts)
-        return sim, dis
-
-    def soft_sides(self, m):
-        """(ds, dd): per-sample soft aggregates b(alpha) over the similar-side
-        distances and b(1) over the dissimilar-side distances."""
-        (ds, _, _), (dd, _, _) = self._soft_sides(*self._quadforms(m))
-        return ds, dd
-
-    def _evaluate(self, m):
-        q_s, q_d = self._quadforms(m)
-        sim, dis = self._soft_sides(q_s, q_d)
-        u = (sim[0] - dis[0]) / self.hp.gamma
-        return q_s, sim, dis, u
-
-    def objective(self, m) -> float:
-        self._memo = None  # free the last iterate's arrays before new ones
-        q_s, sim, dis, u = self._evaluate(m)
-        if isinstance(m, MetricMatrix):
-            self._memo = (m, sim, dis, u)
-        return float(self.hp.loss.value(u).sum()) + self.hp.lam * float(q_s.sum())
-
-    def gradient(self, m) -> np.ndarray:
+    def objective(self, m) -> Evaluation:
+        """J(M) with the soft sides it came from; ``.j`` is the value, and
+        :meth:`gradient` takes the whole evaluation."""
         hp = self.hp
-        memo, self._memo = self._memo, None
-        if memo is not None and memo[0] is m:
-            _, (_, e_s, tot_s), (_, e_d, tot_d), u = memo
-        else:
-            _, (_, e_s, tot_s), (_, e_d, tot_d), u = self._evaluate(m)
-        xi = hp.loss.derivative(u) / hp.gamma
-        # softmax weight of each pair inside its own segment (in place)
-        r_s = np.divide(e_s, np.repeat(tot_s, self.sim_counts), out=e_s)
-        r_d = np.divide(e_d, np.repeat(tot_d, self.dis_counts), out=e_d)
-        w_s = np.repeat(xi, self.sim_counts) * r_s + hp.lam
-        w_d = np.repeat(xi, self.dis_counts) * r_d
+        q_s, q_d = self._quadforms(m)
+        ds, e_s, tot_s = _segment_soft_agg(q_s, hp.alpha, self.sim_ptr, self.sim_counts)
+        dd, e_d, tot_d = _segment_soft_agg(q_d, 1.0, self.dis_ptr, self.dis_counts)
+        u = (ds - dd) / hp.gamma
+        j = float(hp.loss.value(u).sum()) + hp.lam * float(q_s.sum())
+        return Evaluation(j, ds, dd, u, (e_s, tot_s), (e_d, tot_d))
+
+    def gradient(self, at: Evaluation) -> np.ndarray:
+        """dJ/dM at the metric that :meth:`objective` evaluated as ``at``."""
+        hp = self.hp
+        xi = hp.loss.derivative(at.u) / hp.gamma
+        w_s = _pair_weights(at.sim, xi, self.sim_counts)
+        w_s += hp.lam
+        w_d = _pair_weights(at.dis, xi, self.dis_counts)
         # each unordered pair's weight, summed over its listings, lands in the
         # upper triangle; w + w.T mirrors it
         rows = self.keys.size
@@ -256,7 +251,7 @@ class PairEvaluator:
 def ann_objective(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> float:
     """J(M) = sum_i loss((ds_i - dd_i)/gamma) + lam * sum of similar-side
     distances, through a one-off :class:`PairEvaluator`."""
-    return PairEvaluator(data, nbrs, hp).objective(m)
+    return PairEvaluator(data, nbrs, hp).objective(m).j
 
 
 def ann_gradient(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> np.ndarray:
@@ -266,7 +261,8 @@ def ann_gradient(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> np.nd
     (i, l in D_i) contributes -xi_i r^d_il X_il, with X_ab the outer product
     of the difference vector and xi_i = loss'((ds_i - dd_i)/gamma) / gamma.
     """
-    return PairEvaluator(data, nbrs, hp).gradient(m)
+    ev = PairEvaluator(data, nbrs, hp)
+    return ev.gradient(ev.objective(m))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +290,8 @@ def pnca_objective(m, data: Dataset, nbrs: NeighborSets, alpha: float) -> float:
     With alpha = 1 and S_i/D_i the full same/other-class sets this equals
     :func:`nca_objective`. Each summand lies in (0, 1).
     """
-    ds, dd = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).soft_sides(m)
+    at = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).objective(m)
     # ln A_i = ln|S_i|/alpha - ds_i and ln B_i = ln|D_i| - dd_i
-    log_a = np.log(np.diff(nbrs.sim_ptr)) / alpha - ds
-    log_b = np.log(np.diff(nbrs.dis_ptr)) - dd
+    log_a = np.log(np.diff(nbrs.sim_ptr)) / alpha - at.ds
+    log_b = np.log(np.diff(nbrs.dis_ptr)) - at.dd
     return float(_sigmoid(log_a - log_b).sum())

@@ -2,10 +2,10 @@
 
 Each iteration forms the candidate psd_project(M - eta * grad J(M)) and keeps
 it only if the objective strictly decreases; the step size grows by 1.05 on
-acceptance and halves on rejection. The gradient is recomputed only after an
-accepted step (a rejected step leaves the iterate, and hence its gradient,
-unchanged), and it reuses the soft sides the evaluator computed when it
-scored that step, so each iterate's quadratic forms are computed once.
+acceptance and halves on rejection. The gradient is taken only at an accepted
+iterate (a rejection leaves it unchanged), from the evaluation that scored it,
+so each iterate's quadratic forms are computed once; each evaluation is
+dropped once used, so the loop never holds two.
 """
 
 from __future__ import annotations
@@ -57,22 +57,24 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
     evaluator = PairEvaluator(data, nbrs, hp)  # pair differences gathered once
     m = init
     eta = hp.eta0
-    j_best = evaluator.objective(m)
+    at = evaluator.objective(m)  # kept only while its gradient is due
+    j_best = at.j
     if not np.isfinite(j_best):
         raise DivergenceError("objective non-finite at the initial iterate", 0, m)
     trace = [(0, j_best, eta, True)]
-    grad = None
     rejections = 0
     iterations = 0
     stop_reason = "max_iters"
 
     for it in range(1, hp.max_iters + 1):
-        if grad is None:
-            grad = evaluator.gradient(m)
+        if at is not None:
+            grad = evaluator.gradient(at)
+            at = None  # before the candidate's evaluation is allocated
             if not np.all(np.isfinite(grad)):
                 raise DivergenceError("gradient non-finite at iteration %d" % it, it, m)
         candidate = psd_project(m.m - eta * grad)
-        j_cand = evaluator.objective(candidate)
+        at = evaluator.objective(candidate)
+        j_cand = at.j
         if not np.isfinite(j_cand):
             raise DivergenceError("objective non-finite at iteration %d" % it, it, m)
         accepted = j_cand < j_best
@@ -84,9 +86,9 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
             m = candidate
             j_best = j_cand
             eta *= 1.05
-            grad = None
             rejections = 0
         else:
+            at = None
             eta *= 0.5
             rejections += 1
         if eta < ETA_MIN:

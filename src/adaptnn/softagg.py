@@ -83,13 +83,16 @@ def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarr
     shift = lo if a > 0 else hi
     # exp(-a (q - shift)) in one buffer: shift - q is exactly -(q - shift),
     # and a (-x) is exactly (-a) x
-    e = np.repeat(shift, counts)
+    e = shift.repeat(counts)
     np.subtract(e, q, out=e)
     if a != 1.0:
         np.multiply(e, a, out=e)
     np.exp(e, out=e)
     total = np.add.reduceat(e, starts)
-    b = shift - np.log(total / counts) / a
+    b = np.log(total / counts)
+    if a != 1.0:
+        b /= a
+    b = shift - b
     # the shift bounds b on one side; clamp float drift on the other
     b = np.minimum(b, hi) if a > 0 else np.maximum(b, lo)
     return b, e, total

@@ -32,6 +32,22 @@ def test_label_below_one_rejected():
         Dataset([[0.0], [1.0]], [0, 1])
 
 
+@pytest.mark.parametrize("labels, sample", [([1.0, 1.9, 2.2, 2.0], 1),
+                                            ([1, 2, 2.5, 2], 2),
+                                            ([1, 2, 1, np.nan], 3),
+                                            ([1, 2, np.inf, 2], 2)])
+def test_non_integral_label_rejected(labels, sample):
+    # a cast to int would truncate 1.9 to 1 and 2.5 to 2 without a word
+    with pytest.raises(ValueError, match="label of sample %d is not an integer" % sample):
+        Dataset([[0.0], [1.0], [2.0], [3.0]], labels)
+
+
+def test_integral_float_labels_accepted():
+    ds = Dataset([[0.0], [1.0], [2.0], [3.0]], np.array([1.0, 2.0, 1.0, 2.0]))
+    assert ds.labels.dtype.kind == "i"
+    assert ds.labels.tolist() == [1, 2, 1, 2]
+
+
 def test_too_few_samples_rejected():
     with pytest.raises(ValueError, match="N >= 2"):
         Dataset([[1.0]], [1])
@@ -98,6 +114,22 @@ def test_neighbor_sets_validation():
         NeighborSets([[1], [0], [3], [7]], [[2], [3], [0], [1]], labels=labels)
     with pytest.raises(ValueError, match="out of range"):
         NeighborSets([[1], [0], [3], [2]], [[2], [3], [0], [4]], labels=labels)
+
+
+def test_neighbor_sets_reject_non_integral_index():
+    labels = [1, 1, 2, 2]
+    dissimilar = [[2], [3], [0], [1]]
+    # a cast to int would store neighbor 1 for sample 0
+    with pytest.raises(ValueError, match="neighbor index of sample 0 is not an integer"):
+        NeighborSets([[1.6], [0], [3], [2]], dissimilar, labels=labels)
+    with pytest.raises(ValueError, match="neighbor index of sample 3 is not an integer"):
+        NeighborSets([[1], [0], [3], [2]], [[2], [3], [0], [1, np.nan]], labels=labels)
+    # the lowest faulty sample is reported, on either side
+    with pytest.raises(ValueError, match="sample 1 is not an integer"):
+        NeighborSets([[1], [0.5], [3], [2.5]], dissimilar, labels=labels)
+    ns = NeighborSets([[1.0], [0], [3], [2.0]], dissimilar, labels=labels)
+    assert ns.sim_nbr.dtype.kind == "i"
+    assert ns.sim_nbr.tolist() == [1, 0, 3, 2]
 
 
 def test_neighbor_sets_flat_arrays():

@@ -75,11 +75,12 @@ def test_weights_empty_input():
 
 
 # ---------------------------------------------------------------------------
-# soft distances: PairEvaluator.soft_sides
+# soft distances: the ds and dd of PairEvaluator.objective
 
 
 def _soft_sides(m, data, nbrs, alpha):
-    return PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).soft_sides(m)
+    at = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).objective(m)
+    return at.ds, at.dd
 
 
 def test_soft_distances_constant_collapse():
@@ -344,7 +345,7 @@ def test_gradient_matches_per_sample_oracle(alpha, loss, mode):
     data, nbrs = make_instance(rng, n=14, d=3, classes=3, mode=mode, k0=3)
     m = random_psd(rng, 3, jitter=0.1)
     hp = HyperParams(alpha=alpha, gamma=1.5, lam=0.01, loss=loss)
-    got = PairEvaluator(data, nbrs, hp).gradient(m)
+    got = ann_gradient(m, data, nbrs, hp)
     _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
 
 
@@ -357,7 +358,7 @@ def test_gradient_translation_invariant():
     nbrs = build_neighbor_sets(data)
     m = random_psd(rng, 4, jitter=0.1)
     hp = HyperParams(alpha=2.0, gamma=1.5, lam=0.01, loss=IdentityLoss())
-    got = PairEvaluator(data, nbrs, hp).gradient(m)
+    got = ann_gradient(m, data, nbrs, hp)
     _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
 
 
@@ -381,7 +382,7 @@ def test_gradient_matches_oracle_with_mutual_neighbors():
     data, nbrs, m = _mutual_knn_case()
     hp = HyperParams(alpha=2.0, gamma=1.5, lam=0.01,
                      loss=SoftplusLoss(margin=0.5, sharpness=2.0))
-    got = PairEvaluator(data, nbrs, hp).gradient(m)
+    got = ann_gradient(m, data, nbrs, hp)
     _assert_matches_oracle(got, _oracle_gradient(m, data, nbrs, hp))
 
 
@@ -448,10 +449,10 @@ def test_evaluator_equals_listed_pair_scatter(case, hp):
     data, nbrs, m = _mutual_knn_case() if case == "mutual_knn" else _quadform_case(case)
     ds, dd, j, grad = listed_pair_evaluation(m, data, nbrs, hp)
     ev = PairEvaluator(data, nbrs, hp)
-    got_ds, got_dd = ev.soft_sides(m)
-    assert np.array_equal(got_ds, ds) and np.array_equal(got_dd, dd)
-    assert ev.objective(m) == j
-    assert np.array_equal(ev.gradient(m), grad)
+    at = ev.objective(m)
+    assert np.array_equal(at.ds, ds) and np.array_equal(at.dd, dd)
+    assert at.j == j
+    assert np.array_equal(ev.gradient(at), grad)
 
 
 def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
@@ -473,67 +474,23 @@ def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# PairEvaluator's one-entry memo (objective then gradient at one iterate)
+# Evaluations: objective returns one, gradient only reads it
 
 
-def _memo_instance():
+def test_gradient_leaves_its_evaluation_unchanged():
     rng = np.random.default_rng(16)
     data, nbrs = make_instance(rng, n=16, d=3, classes=3, mode="knn_same_class",
                                k0=4)
     hp = HyperParams(alpha=-2.0, gamma=1.5, lam=0.01,
                      loss=SoftplusLoss(margin=0.5, sharpness=2.0))
-    m1 = MetricMatrix(random_psd(rng, 3, jitter=0.1))
-    m2 = MetricMatrix(random_psd(rng, 3, jitter=0.1))
-    return data, nbrs, hp, m1, m2
-
-
-def test_gradient_after_objective_reuses_soft_sides(monkeypatch):
-    data, nbrs, hp, m, _ = _memo_instance()
-    fresh = PairEvaluator(data, nbrs, hp).gradient(m)
     ev = PairEvaluator(data, nbrs, hp)
-    ev.objective(m)
-    calls = []
-    quadforms = PairEvaluator._quadforms
-
-    def counting_quadforms(self, mm):
-        calls.append(1)
-        return quadforms(self, mm)
-
-    monkeypatch.setattr(PairEvaluator, "_quadforms", counting_quadforms)
-    assert np.array_equal(ev.gradient(m), fresh)
-    assert calls == []
-
-
-def test_memo_is_not_reused_for_another_metric():
-    data, nbrs, hp, m1, m2 = _memo_instance()
-    fresh = PairEvaluator(data, nbrs, hp).gradient(m1)
-    ev = PairEvaluator(data, nbrs, hp)
-    ev.objective(m1)
-    ev.objective(m2)
-    assert np.array_equal(ev.gradient(m1), fresh)
-
-
-def test_raw_arrays_are_not_memoized():
-    # finite-difference checks step a raw array in place between calls
-    data, nbrs, hp, m, _ = _memo_instance()
-    a = m.m.copy()
-    ev = PairEvaluator(data, nbrs, hp)
-    ev.objective(a)
-    a[0, 0] += 1e-3
-    fresh = PairEvaluator(data, nbrs, hp).gradient(a.copy())
-    assert np.array_equal(ev.gradient(a), fresh)
-
-
-def test_repeated_gradient_calls_agree():
-    # the softmax weights are divided in place; a second call must not see
-    # the first call's arrays
-    data, nbrs, hp, m, _ = _memo_instance()
-    ev = PairEvaluator(data, nbrs, hp)
-    ev.objective(m)
-    g1 = ev.gradient(m)
-    g2 = ev.gradient(m)
+    at = ev.objective(MetricMatrix(random_psd(rng, 3, jitter=0.1)))
+    arrays = (at.ds, at.dd, at.u) + at.sim + at.dis
+    before = [a.copy() for a in arrays]
+    g1 = ev.gradient(at)
+    g2 = ev.gradient(at)
     assert np.array_equal(g1, g2)
-    assert np.array_equal(g2, ev.gradient(m.m))
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
 def test_gradient_exactly_symmetric():
@@ -556,6 +513,72 @@ def test_convexity_for_negative_alpha():
         j2 = ann_objective(m2, data, nbrs, hp)
         jm = ann_objective(mid, data, nbrs, hp)
         assert jm <= (j1 + j2) / 2 + 1e-8 * (1 + abs(jm))
+
+
+# ---------------------------------------------------------------------------
+# The paper's special cases: b(alpha) between the mean and the min or max
+
+
+def _segments(q, ptr):
+    return [q[ptr[i]:ptr[i + 1]] for i in range(ptr.size - 1)]
+
+
+def _special_case(mode):
+    rng = np.random.default_rng(19)
+    data, nbrs = make_instance(rng, n=24, d=3, classes=3, mode=mode, k0=4)
+    return data, nbrs, MetricMatrix(random_psd(rng, 3, jitter=0.1))
+
+
+def _float_slack(v, a):
+    # the shifted log-sum-exp loses about size / |a| ulps of the list's scale
+    return 8 * np.finfo(float).eps * (v.max() + v.size / abs(a))
+
+
+@pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
+@pytest.mark.parametrize("alpha", [2.0 ** -20, 2.0 ** -9, 1.0, 2.0 ** 10,
+                                   -2.0 ** -20, -2.0 ** -9, -1.0, -2.0 ** 10])
+def test_soft_sides_between_mean_and_extreme(mode, alpha):
+    # for a list v of n values and a > 0 (a < 0 mirrors every bound):
+    #   mean(v) - a range(v)^2 / 8 <= b(a) <= mean(v)   (Hoeffding, Jensen)
+    #   min(v) <= b(a) <= min(v) + ln(n) / a
+    # so a -> 0 gives the mean of S_i, the pairwise-constraint sum, and
+    # a -> +inf (-inf) its min (max); D_i is always aggregated at a = 1
+    data, nbrs, m = _special_case(mode)
+    at = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).objective(m)
+    q_s, q_d = pair_quadforms(m, data, nbrs)
+    for got, q, ptr, a in ((at.ds, q_s, nbrs.sim_ptr, alpha),
+                           (at.dd, q_d, nbrs.dis_ptr, 1.0)):
+        for b, v in zip(got, _segments(q, ptr)):
+            slack = _float_slack(v, a)
+            spread = abs(a) * (v.max() - v.min()) ** 2 / 8
+            if a > 0:
+                assert v.mean() - spread - slack <= b <= v.mean() + slack
+                assert v.min() - slack <= b <= v.min() + np.log(v.size) / a + slack
+            else:
+                assert v.mean() - slack <= b <= v.mean() + spread + slack
+                assert v.max() + np.log(v.size) / a - slack <= b <= v.max() + slack
+
+
+@pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
+@pytest.mark.parametrize("alpha", [2.0 ** -20, -2.0 ** -20])
+def test_small_alpha_objective_is_the_pairwise_constraint_sum(mode, alpha):
+    # identity loss at alpha -> 0: ds_i -> mean(S_i), so
+    #   J -> sum_i (mean(S_i) - dd_i) / gamma + lam * sum_i sum_{j in S_i} d_ij,
+    # within N alpha range^2 / (8 gamma) and on the side Jensen gives
+    data, nbrs, m = _special_case(mode)
+    gamma, lam = 1.5, 0.01
+    hp = HyperParams(alpha=alpha, gamma=gamma, lam=lam, loss=IdentityLoss())
+    at = PairEvaluator(data, nbrs, hp).objective(m)
+    q_s, _ = pair_quadforms(m, data, nbrs)
+    segments = _segments(q_s, nbrs.sim_ptr)
+    closed = (sum(v.mean() for v in segments) - at.dd.sum()) / gamma + lam * q_s.sum()
+    spread = data.n_samples * abs(alpha) * max(np.ptp(v) for v in segments) ** 2 / (8 * gamma)
+    slack = (sum(_float_slack(v, alpha) for v in segments) / gamma
+             + 64 * np.finfo(float).eps * (np.abs(at.u).sum() + lam * q_s.sum()))
+    if alpha > 0:
+        assert closed - spread - slack <= at.j <= closed + slack
+    else:
+        assert closed - slack <= at.j <= closed + spread + slack
 
 
 # ---------------------------------------------------------------------------
