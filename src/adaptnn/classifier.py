@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MetricMatrix
+from .core import Dataset, MetricMatrix, _require_metric
 from .metric import _table_blocks, pairwise_sq
 from .softagg import topk_avg_smallest
 
@@ -36,7 +36,7 @@ def _check_fit(train: Dataset, metric: MetricMatrix, ks) -> None:
     """The checks FitKnn makes, once for every K in ks."""
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    if metric.dim != train.n_features:
+    if _require_metric(metric, "metric").dim != train.n_features:
         raise ValueError("metric dimension %d does not match %d features"
                          % (metric.dim, train.n_features))
 

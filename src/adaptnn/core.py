@@ -6,6 +6,7 @@ they can be shared freely across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,20 @@ def validate(dataset: Dataset) -> None:
         raise ValueError("class %d has no samples" % (int(np.flatnonzero(counts == 0)[0]) + 1))
 
 
+def _symmetrized(a, tol: float, name: str) -> np.ndarray:
+    """(A + A^T) / 2 of a finite square array A whose asymmetry is at most
+    tol; a ValueError naming ``name`` otherwise."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("%s must be square, got shape %s" % (name, a.shape))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("%s contains non-finite entries" % name)
+    asym = np.abs(a - a.T).max(initial=0.0)
+    if asym > tol:
+        raise ValueError("%s not symmetric: max |A - A^T| = %g" % (name, asym))
+    return (a + a.T) / 2.0
+
+
 class MetricMatrix:
     """Symmetric positive-semidefinite d x d matrix parameterizing the distance.
 
@@ -95,15 +110,7 @@ class MetricMatrix:
     __slots__ = ("m", "dim")
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("metric must be square, got shape %s" % (m.shape,))
-        if not np.all(np.isfinite(m)):
-            raise ValueError("metric contains non-finite entries")
-        asym = np.abs(m - m.T).max(initial=0.0)
-        if asym > SYMMETRY_TOL:
-            raise ValueError("metric not symmetric: max |M - M^T| = %g" % asym)
-        sym = (m + m.T) / 2.0
+        sym = _symmetrized(m, SYMMETRY_TOL, "metric")
         w = np.linalg.eigvalsh(sym)
         if w.min() < EIG_FLOOR:
             raise ValueError("metric not PSD: smallest eigenvalue = %g" % w.min())
@@ -131,6 +138,13 @@ class MetricMatrix:
 
     def __repr__(self):
         return "MetricMatrix(dim=%d)" % self.dim
+
+
+def _require_metric(m, name: str) -> MetricMatrix:
+    """m if it is a MetricMatrix; a TypeError naming the argument otherwise."""
+    if not isinstance(m, MetricMatrix):
+        raise TypeError("%s must be a MetricMatrix, got %s" % (name, type(m).__name__))
+    return m
 
 
 class NeighborSets:
@@ -224,14 +238,20 @@ def _segments(nbr: np.ndarray, ptr: np.ndarray) -> tuple:
     return tuple(np.split(nbr, ptr[1:-1])) if ptr.size > 1 else ()
 
 
+def _check_count(value, name: str) -> None:
+    """A ValueError naming ``name`` unless value is an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Training hyperparameters.
 
     alpha balances neighbor counts between S_i and D_i (sign selects the
     nearest/farthest-similar regimes), gamma rescales the loss argument,
-    lam weights the regularizer, loss is a Loss instance from
-    :mod:`adaptnn.objective`.
+    lam weights the regularizer, and loss is any object with vectorized value
+    and derivative methods, such as the losses of :mod:`adaptnn.objective`.
     """
 
     alpha: float
@@ -252,8 +272,7 @@ class HyperParams:
             raise ValueError("gamma must be > 0, got %g" % self.gamma)
         if self.lam < 0:
             raise ValueError("lam must be >= 0, got %g" % self.lam)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_count(self.max_iters, "max_iters")
         if not self.eta0 > 0:
             raise ValueError("eta0 must be > 0, got %g" % self.eta0)
         if self.loss is None:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, NeighborSets
+from .core import Dataset, NeighborSets, _check_count
 
 CONSTANT_COLUMN_TOL = 1e-12
 
@@ -213,9 +213,13 @@ def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
 
     mode="all_same_class": S_i is the whole class of i minus i itself.
     mode="knn_same_class": S_i is the k0 Euclidean-nearest same-class samples
-    (capped at class size - 1, ties broken by lower index). Either way D_i is
-    every sample of a different class.
+    (capped at class size - 1, ties broken by lower index); k0 must then be
+    an integer >= 1. Either way D_i is every sample of a different class.
     """
+    if mode == "knn_same_class":
+        _check_count(k0, "k0")
+    elif mode != "all_same_class":
+        raise ValueError("unknown mode %r" % (mode,))
     y = data.labels
     counts = np.bincount(y, minlength=data.n_classes + 1)[1:]
     if counts.min() < 2:
@@ -230,14 +234,10 @@ def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
         mates = mates[mates != i]
         if mode == "all_same_class":
             s = mates
-        elif mode == "knn_same_class":
+        else:
             diffs = data.features[mates] - data.features[i]
             d2 = np.einsum("nd,nd->n", diffs, diffs)
-            kk = min(k0, mates.size)
-            order = np.argsort(d2, kind="stable")[:kk]
-            s = mates[order]
-        else:
-            raise ValueError("unknown mode %r" % (mode,))
+            s = mates[np.argsort(d2, kind="stable")[:k0]]
         similar.append(s)
         dissimilar.append(others[y[i]])
     return NeighborSets(similar, dissimilar, labels=y)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MetricMatrix
+from .core import MetricMatrix, _require_metric, _symmetrized
 
 # Eigenvalues at or below this are dropped by the projection; numerically-PSD
 # matrices routinely carry eigenvalues dipping this far negative.
@@ -23,50 +23,44 @@ def _as_array(m) -> np.ndarray:
 _TABLE_BLOCK = 1 << 16
 
 
-def _table_blocks(m, x, y=None):
+def _table_blocks(m: MetricMatrix, x, y=None):
     """(table, blocks) for the (n, k) squared-distance table d_M(x_i, y_j).
 
-    The cross term is computed as one product over the whole table, so no
-    product bit depends on the blocking. table holds it, and the generator
-    blocks finishes it in place, row block by row block: it yields (lo, block)
-    once rows lo:lo + len(block) are final and clamped >= 0. The table is
-    complete when blocks is drained.
+    m must be a MetricMatrix (a TypeError otherwise). Its M is exactly
+    symmetric, so the cross term x (M + M^T) y^T is 2 x M y^T: one product
+    over the whole table, doubled block by block, so no bit of it depends on
+    the blocking. table holds the product, and the generator blocks finishes
+    it in place: it yields (lo, block) once rows lo:lo + len(block) are final
+    and clamped >= 0. The table is complete when blocks is drained.
     """
-    mm = _as_array(m)
+    mm = _require_metric(m, "metric").m
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
     xm = x @ mm
-    # d_ij = x_i M x_i + y_j M y_j - x_i (M + M^T) y_j. M may be any square
-    # array: raw ones reach here through pairwise_sq and nca_objective
-    # (gradient checks never build a table).
+    # d_ij = x_i M x_i + y_j M y_j - 2 x_i M y_j
     qx = np.einsum("ij,ij->i", xm, x)
     qy = np.einsum("ij,ij->i", y @ mm, y)
     table = xm @ y.T
-    symmetric = isinstance(m, MetricMatrix)
-    if not symmetric:
-        table += (x @ mm.T) @ y.T
-    return table, _finish_rows(table, qx, qy, symmetric)
+    return table, _finish_rows(table, qx, qy)
 
 
-def _finish_rows(table, qx, qy, symmetric):
+def _finish_rows(table, qx, qy):
     """The blocks generator of _table_blocks."""
     n, k = table.shape
     step = max(1, _TABLE_BLOCK // max(1, k))
     buf = np.empty((min(step, n), k))
     for lo in range(0, n, step):
         block = table[lo:lo + step]
-        if symmetric:
-            # M is exactly symmetric, so x M^T y^T is the same product bit
-            # for bit
-            np.add(block, block, out=block)
+        np.add(block, block, out=block)
         # the same operations in the same order as qx + qy - cross
         sums = np.add(qx[lo:lo + step, None], qy[None, :], out=buf[:len(block)])
         np.subtract(sums, block, out=block)
         yield lo, np.maximum(block, 0.0, out=block)
 
 
-def pairwise_sq(m, x, y=None) -> np.ndarray:
-    """All squared distances d_M(x_i, y_j) as an (n, k) table, clamped >= 0.
+def pairwise_sq(m: MetricMatrix, x, y=None) -> np.ndarray:
+    """All squared distances d_M(x_i, y_j) for a MetricMatrix m, as an (n, k)
+    table clamped >= 0.
 
     With y omitted, the table is the full n x n self-distance matrix. Building
     it holds the table plus one row block of _TABLE_BLOCK elements.
@@ -85,15 +79,7 @@ def psd_project(m) -> MetricMatrix:
     result is exactly symmetric and PSD by construction, so it is wrapped
     without a second eigendecomposition.
     """
-    a = _as_array(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("cannot eigendecompose non-finite input")
-    asym = np.abs(a - a.T).max(initial=0.0)
-    if asym > PROJECT_SYM_TOL:
-        raise ValueError("input not symmetric: max |A - A^T| = %g" % asym)
-    sym = (a + a.T) / 2.0
+    sym = _symmetrized(_as_array(m), PROJECT_SYM_TOL, "input")
     w, u = np.linalg.eigh(sym)
     w = np.where(w > EIG_DROP_TOL, w, 0.0)
     out = (u * w) @ u.T

@@ -46,21 +46,11 @@ from .softagg import _segment_soft_agg
 
 
 # ---------------------------------------------------------------------------
-# Loss functions
-
-
-class Loss:
-    """Scalar loss with a (sub)derivative, vectorized over numpy arrays."""
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def derivative(self, x):
-        raise NotImplementedError
+# Loss functions (HyperParams.loss may be any object with value and derivative)
 
 
 @dataclass(frozen=True)
-class HingeLoss(Loss):
+class HingeLoss:
     """l(x) = max(0, x + margin). Subgradient at the kink is 0, so an exactly
     satisfied constraint exerts no descent pressure."""
 
@@ -78,7 +68,7 @@ class HingeLoss(Loss):
 
 
 @dataclass(frozen=True)
-class IdentityLoss(Loss):
+class IdentityLoss:
     """l(x) = x."""
 
     def value(self, x):
@@ -89,7 +79,7 @@ class IdentityLoss(Loss):
 
 
 @dataclass(frozen=True)
-class SoftplusLoss(Loss):
+class SoftplusLoss:
     """l(x) = (1/s) * ln(1 + exp(s*(x + margin))), a smooth hinge."""
 
     margin: float = 0.0
@@ -271,7 +261,8 @@ def ann_gradient(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> np.nd
 
 def nca_objective(m, data: Dataset) -> float:
     """Expected leave-one-out score sum_i sum_{j ~ i} p_ij with softmax
-    neighbor probabilities p_ij = exp(-d_ij) / sum_{k != i} exp(-d_ik)."""
+    neighbor probabilities p_ij = exp(-d_ij) / sum_{k != i} exp(-d_ik), for
+    a MetricMatrix m (it builds a distance table)."""
     full = pairwise_sq(m, data.features)
     z = -full
     np.fill_diagonal(z, -np.inf)

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, MetricMatrix, NeighborSets, TrainReport
+from .core import (Dataset, HyperParams, MetricMatrix, NeighborSets, TrainReport,
+                   _require_metric)
 from .metric import psd_project
 from .objective import PairEvaluator
 
@@ -49,7 +50,7 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
     """
     if init is None:
         init = default_init(data)
-    if init.dim != data.n_features:
+    if _require_metric(init, "init").dim != data.n_features:
         raise ValueError("init metric is %dx%d but data has %d features"
                          % (init.dim, init.dim, data.n_features))
 

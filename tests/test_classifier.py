@@ -177,6 +177,16 @@ def test_accuracy_by_k_validates_inputs():
         accuracy_by_k(train, metric, make_dataset(rng, n=8, d=3, classes=3), (1, 0))
 
 
+def test_raw_array_metric_is_a_type_error():
+    # the distance table relies on MetricMatrix's exact symmetry
+    rng = np.random.default_rng(26)
+    train, test = (make_dataset(rng, n=n, d=3, classes=3) for n in (20, 8))
+    with pytest.raises(TypeError, match="metric must be a MetricMatrix"):
+        FitKnn(train=train, metric=np.eye(3))
+    with pytest.raises(TypeError, match="metric must be a MetricMatrix"):
+        accuracy_by_k(train, np.eye(3), test, (1, 3))
+
+
 def test_tie_breaks_toward_smaller_class_id():
     ds = Dataset([[0.0], [2.0], [0.0], [2.0]], [1, 1, 2, 2])
     fit = FitKnn(train=ds, metric=MetricMatrix.identity(1), k=2)

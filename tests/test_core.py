@@ -176,3 +176,11 @@ def test_hyperparams_validation():
 def test_hyperparams_reject_non_finite(field, value):
     with pytest.raises(ValueError, match="%s must be finite" % field):
         HyperParams(**{"alpha": 1.0, field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+def test_hyperparams_reject_non_integer_max_iters(value):
+    # a float would construct and then fail inside train's range()
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        HyperParams(alpha=1.0, max_iters=value)
+    assert HyperParams(alpha=1.0, max_iters=np.int64(3)).max_iters == 3

@@ -210,6 +210,15 @@ def test_knn_same_class_capped():
     assert all(ns.similar[i].size == 5 for i in range(6))  # class size 6 -> 5
 
 
+@pytest.mark.parametrize("k0", [2.5, 0, -1, None])
+def test_knn_same_class_rejects_bad_k0(k0):
+    ds = Dataset(np.arange(8, dtype=float)[:, None], [1, 1, 1, 1, 2, 2, 2, 2])
+    with pytest.raises(ValueError, match="k0 must be an integer >= 1"):
+        build_neighbor_sets(ds, mode="knn_same_class", k0=k0)
+    # the whole-class mode never reads k0
+    assert build_neighbor_sets(ds, mode="all_same_class", k0=k0).sim_nbr.size == 24
+
+
 IRIS = Path(__file__).resolve().parent.parent / "datasets" / "iris.csv"
 # the pointers fix each pair's owner, so equal pointers mean equal owners
 CSR_ARRAYS = ("sim_nbr", "sim_ptr", "dis_nbr", "dis_ptr")

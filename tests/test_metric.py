@@ -78,7 +78,7 @@ def test_distance_table_matches_pairwise_oracle():
 
 def _metrics(rng, d):
     a = rng.normal(size=(d, d))
-    return MetricMatrix(a @ a.T), a  # a raw non-symmetric array too
+    return (MetricMatrix(a @ a.T),)
 
 
 @pytest.mark.parametrize("n, k, d", [
@@ -108,6 +108,15 @@ def test_distance_table_equals_oracle_on_iris():
         assert np.array_equal(pairwise_sq(m, x), pairwise_sq_oracle(m, x))
         assert np.array_equal(pairwise_sq(m, x[::3], x[1::3]),
                               pairwise_sq_oracle(m, x[::3], x[1::3]))
+
+
+def test_distance_table_rejects_raw_array():
+    # a raw array has no symmetry guarantee, so the one-product table would
+    # be wrong for it; it is refused rather than served by a second product
+    x = np.random.default_rng(14).normal(size=(4, 3))
+    for raw in (np.eye(3), np.triu(np.ones((3, 3))), [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(TypeError, match="metric must be a MetricMatrix"):
+            pairwise_sq(raw, x)
 
 
 def test_distance_table_peak_memory():
@@ -191,6 +200,25 @@ def test_psd_project_rejects_asymmetric_and_nonfinite():
         psd_project(bad)
     with pytest.raises(ValueError, match="non-finite"):
         psd_project(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_psd_project_and_metric_share_the_symmetry_check():
+    for check in (psd_project, MetricMatrix):
+        with pytest.raises(ValueError, match="must be square"):
+            check(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            check(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # each keeps its own tolerance: an asymmetry of 1e-7 is drift to the
+    # projection but too much for a metric
+    drift = np.array([[1.0, 1e-7], [0.0, 1.0]])
+    assert np.allclose(psd_project(drift).m, [[1.0, 5e-8], [5e-8, 1.0]],
+                       rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="not symmetric"):
+        MetricMatrix(drift)
+    rng = np.random.default_rng(15)
+    a = random_psd(rng, 4)
+    a[0, 1] += 1e-10
+    assert np.array_equal(MetricMatrix(a).m, (a + a.T) / 2.0)
 
 
 def test_distances_nonnegative_under_psd():

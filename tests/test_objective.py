@@ -642,3 +642,13 @@ def test_pnca_rejects_zero_alpha():
     for alpha in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             pnca_objective(MetricMatrix.identity(2), data, nbrs, alpha)
+
+
+def test_nca_rejects_raw_array_metric():
+    # NCA builds a distance table; the pair evaluator's objectives do not
+    rng = np.random.default_rng(13)
+    data, nbrs = make_instance(rng, n=8, d=2, classes=2)
+    with pytest.raises(TypeError, match="metric must be a MetricMatrix"):
+        nca_objective(np.eye(2), data)
+    assert pnca_objective(np.eye(2), data, nbrs, 1.0) == \
+        pnca_objective(MetricMatrix.identity(2), data, nbrs, 1.0)

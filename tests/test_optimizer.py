@@ -218,3 +218,9 @@ def test_stop_reason(eta0, max_iters, reason, iterations):
     report = train(ds, ns, hp)
     assert report.stop_reason == reason
     assert report.iterations_run == iterations
+
+
+def test_raw_array_init_is_a_type_error():
+    ds, ns = _separated_pair_classes()
+    with pytest.raises(TypeError, match="init must be a MetricMatrix"):
+        train(ds, ns, HyperParams(alpha=1.0), init=np.eye(1))
