@@ -20,7 +20,8 @@ import numpy as np
 
 from .classifier import accuracy_by_k
 from .core import Dataset, HyperParams, MetricMatrix
-from .data import apply_zscore, build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load
+from .data import (_data_lines, apply_zscore, build_neighbor_sets, fit_pca, apply_pca,
+                   fit_zscore, load)
 from .objective import HingeLoss, nca_objective, pnca_objective
 from .optimizer import default_init, train
 
@@ -309,20 +310,33 @@ def parse_report(path) -> list:
 # Config files
 
 
+def _entries(path, form: str):
+    """(line number, key, value) for each 'key = value' line of path, with
+    blank and '#' lines skipped. A line without '=' raises ValueError naming
+    form, the line's expected shape; so does a key given twice."""
+    first = {}
+    for lineno, line in _data_lines(path):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError("%s:%d: %s, got %r" % (path, lineno, form, line))
+        key = key.strip()
+        if key in first:
+            raise ValueError("%s:%d: repeated key %r (first on line %d)"
+                             % (path, lineno, key, first[key]))
+        first[key] = lineno
+        yield lineno, key, value.strip()
+
+
 def load_registry(path) -> dict:
     """name -> (absolute path, format), one 'name = relpath format' per line."""
     base = Path(path).parent
+    form = "registry line needs 'name = path format'"
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, rest = line.partition("=")
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ValueError("registry line needs 'name = path format': %r" % raw)
-            out[name.strip()] = (str(base / parts[0]), parts[1])
+    for lineno, name, rest in _entries(path, form):
+        parts = rest.split()
+        if len(parts) != 2:
+            raise ValueError("%s:%d: %s, got %r" % (path, lineno, form, rest))
+        out[name] = (str(base / parts[0]), parts[1])
     return out
 
 
@@ -337,16 +351,7 @@ def load_config(path) -> ExperimentConfig:
     Either dataset_path+dataset_format or a registry reference must resolve
     the dataset location.
     """
-    raw = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for raw_line in f:
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ValueError("expected 'key = value', got %r" % raw_line)
-            raw[key.strip()] = value.strip()
+    raw = {key: value for _, key, value in _entries(path, "expected 'key = value'")}
 
     if "dataset" not in raw:
         raise ValueError("config must name a dataset")

@@ -41,6 +41,18 @@ def _check_fit(train: Dataset, metric: MetricMatrix, ks) -> None:
                          % (metric.dim, train.n_features))
 
 
+def _queries(train: Dataset, x, one: bool = False) -> np.ndarray:
+    """x as float rows of train's features: a 1-D x is one row, and with
+    one=True x must be a single feature vector (a scalar when d = 1)."""
+    q = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(q)
+    if q.ndim > (1 if one else 2) or rows.shape[1] != train.n_features:
+        raise ValueError("expected %s with %d features, got shape %s"
+                         % ("one feature vector" if one else "query rows",
+                            train.n_features, q.shape))
+    return rows
+
+
 def _predictions(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
                  ks) -> np.ndarray:
     """(len(ks), n_queries) predicted class ids, one row per K in ks.
@@ -73,8 +85,8 @@ def decision_score(fit: FitKnn, x, c: int) -> float:
     the complement; negative means x is assigned to class c."""
     if not 1 <= c <= fit.train.n_classes:
         raise ValueError("unknown class %d" % c)
-    x = np.asarray(x, dtype=float)
-    dists = pairwise_sq(fit.metric, x[None, :], fit.train.features)[0]
+    dists = pairwise_sq(fit.metric, _queries(fit.train, x, one=True),
+                        fit.train.features)[0]
     in_c = fit.train.labels == c
     d_in = dists[in_c]
     d_out = dists[~in_c]
@@ -85,13 +97,12 @@ def decision_score(fit: FitKnn, x, c: int) -> float:
 
 def predict(fit: FitKnn, x) -> int:
     """Predicted class id (ties broken toward the smallest id)."""
-    return int(predict_batch(fit, x)[0])
+    return int(predict_batch(fit, _queries(fit.train, x, one=True))[0])
 
 
 def predict_batch(fit: FitKnn, x) -> np.ndarray:
     """Vectorized predict over rows of x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _predictions(fit.train, fit.metric, x, (fit.k,))[0]
+    return _predictions(fit.train, fit.metric, _queries(fit.train, x), (fit.k,))[0]
 
 
 def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
@@ -100,10 +111,7 @@ def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
     test-to-train distance table."""
     ks = list(dict.fromkeys(int(k) for k in k_grid))
     _check_fit(train, metric, ks)
-    if test.n_features != train.n_features:
-        raise ValueError("test has %d features, train has %d"
-                         % (test.n_features, train.n_features))
-    preds = _predictions(train, metric, test.features, ks)
+    preds = _predictions(train, metric, _queries(train, test.features), ks)
     return {k: float(np.mean(pred == test.labels)) for k, pred in zip(ks, preds)}
 
 

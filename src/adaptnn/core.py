@@ -262,7 +262,7 @@ class HyperParams:
     eta0: float = 1e-3
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "lam"):
+        for name in ("alpha", "gamma", "lam", "eta0"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError("%s must be finite, got %g" % (name, value))

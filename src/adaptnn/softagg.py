@@ -43,13 +43,9 @@ def topk_avg_smallest(values, k: int) -> float:
 
 
 def topk_avg_largest(values, k: int) -> float:
-    """Average of the K largest values."""
-    a = _check_values(values)
-    if not 1 <= k <= a.size:
-        raise ValueError("K must be in [1, %d], got %d" % (a.size, k))
-    if k == a.size:
-        return float(a.mean())
-    return float(np.mean(np.partition(a, a.size - k)[a.size - k:]))
+    """Average of the K largest values: minus the average of the K smallest
+    of the negated values."""
+    return -topk_avg_smallest(-_check_values(values), k)
 
 
 def soft_agg(values, gamma: float) -> float:
@@ -103,7 +99,10 @@ def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
     (mode="smallest", gamma* > 0) or K largest (mode="largest", gamma* < 0)
     values.
 
-    Bracket by doubling gamma from +-1 until b(gamma) - target changes sign,
+    The largest mode is the smallest mode of the negated values: b(-g; a) =
+    -b(g; -a), and the K largest of a are minus the K smallest of -a.
+
+    Bracket by doubling gamma from 1 until b(gamma) - target changes sign,
     then bisect. Residual target: |b(gamma*) - target| <= 1e-8 * (1 + |target|).
 
     Sentinels:
@@ -113,18 +112,13 @@ def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
                   equal to the exact min/max, where gamma* diverges).
     """
     a = _check_values(values)
-    n = a.size
-    if mode == "smallest":
-        target = topk_avg_smallest(a, k)
-        sign = 1.0
-    elif mode == "largest":
-        target = topk_avg_largest(a, k)
-        sign = -1.0
-    else:
+    if mode == "largest":
+        # 0.0 - keeps the 0 sentinel at +0.0
+        return 0.0 - solve_gamma_star(-a, k, "smallest")
+    if mode != "smallest":
         raise ValueError("mode must be 'smallest' or 'largest', got %r" % (mode,))
-
-    mean = float(a.mean())
-    if k == n or a.min() == a.max() or target == mean:
+    target = topk_avg_smallest(a, k)
+    if k == a.size or a.min() == a.max() or target == float(a.mean()):
         return 0.0
 
     res_tol = RESIDUAL_RTOL * (1.0 + abs(target))
@@ -132,29 +126,28 @@ def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
     def f(g: float) -> float:
         return soft_agg(a, g) - target
 
-    # b is strictly decreasing, so f > 0 near gamma = 0 on the smallest branch
-    # (mean > target) and f < 0 once gamma is past gamma*.
-    gamma = sign
+    # b is strictly decreasing and mean > target, so f > 0 near gamma = 0
+    # and f < 0 once gamma is past gamma*.
+    gamma = 1.0
     lo = 0.0  # bisection never evaluates at the endpoint itself
     for _ in range(MAX_DOUBLINGS):
         fg = f(gamma)
         if abs(fg) <= res_tol:
             return gamma
-        if (fg < 0) if mode == "smallest" else (fg > 0):
+        if fg < 0:
             hi = gamma
             break
         lo = gamma
         gamma *= 2.0
     else:
-        return math.inf * sign
+        return math.inf
 
     for _ in range(MAX_BISECTIONS):
         mid = (lo + hi) / 2.0
         fm = f(mid)
         if abs(fm) <= res_tol or abs(hi - lo) <= GAMMA_TOL:
             return mid
-        same_side = (fm > 0) if mode == "smallest" else (fm < 0)
-        if same_side:
+        if fm > 0:
             lo = mid
         else:
             hi = mid

@@ -341,6 +341,44 @@ def test_config_validation(tmp_path):
         load_config(cfg_file)
 
 
+def test_repeated_config_key_is_an_error(tmp_path):
+    # a repeated key is an error, not an override by the later line
+    cfg_file = tmp_path / "dup.cfg"
+    cfg_file.write_text("dataset = toy\n"
+                        "dataset_path = toy.csv\n"
+                        "alpha_grid = 0.25 1\n"
+                        "\n"
+                        "alpha_grid = 4 16\n")
+    with pytest.raises(ValueError, match=r"dup.cfg:5: repeated key 'alpha_grid' "
+                                         r"\(first on line 3\)"):
+        load_config(cfg_file)
+    cfg_file.write_text("dataset = toy\nmax_iters\n")
+    with pytest.raises(ValueError, match="dup.cfg:2: expected 'key = value'"):
+        load_config(cfg_file)
+
+
+def test_repeated_registry_name_is_an_error(tmp_path):
+    reg = tmp_path / "registry.cfg"
+    reg.write_text("# datasets\ntoy = a.csv delimited\ntoy = b.csv delimited\n")
+    with pytest.raises(ValueError, match=r"registry.cfg:3: repeated key 'toy'"):
+        load_registry(reg)
+    for line in ("toy a.csv delimited\n", "toy = a.csv\n"):
+        reg.write_text(line)
+        with pytest.raises(ValueError, match="registry.cfg:1: registry line needs "
+                                             "'name = path format'"):
+            load_registry(reg)
+
+
+def test_config_eta0_must_be_finite(tmp_path):
+    save(make_dataset(np.random.default_rng(10), n=12, d=2, classes=2),
+         tmp_path / "toy.csv")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\ndataset_path = toy.csv\nrepetitions = 1\n"
+                        "cv_folds = 2\neta0 = inf\n")
+    with pytest.raises(ValueError, match="eta0 must be finite"):
+        run_experiment(load_config(cfg_file))
+
+
 def test_sparse_format_through_harness(tmp_path):
     rng = np.random.default_rng(12)
     ds = make_dataset(rng, n=24, d=3, classes=2)

@@ -171,7 +171,7 @@ def test_accuracy_by_k_validates_inputs():
     rng = np.random.default_rng(25)
     train = make_dataset(rng, n=20, d=3, classes=3)
     metric = MetricMatrix.identity(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="query rows with 3 features"):
         accuracy_by_k(train, metric, make_dataset(rng, n=8, d=4, classes=3), (1, 3))
     with pytest.raises(ValueError):
         accuracy_by_k(train, metric, make_dataset(rng, n=8, d=3, classes=3), (1, 0))
@@ -199,3 +199,22 @@ def test_tie_breaks_toward_smaller_class_id():
                          test.features).tolist() == [1] * 20
     share = float(np.mean(test.labels == 1))
     assert accuracy_by_k(train, zero, test, (1, 5)) == {1: share, 5: share}
+
+
+def test_queries_are_checked_against_the_feature_count():
+    fit = FitKnn(train=_line_dataset(), metric=MetricMatrix.identity(1), k=2)
+    one = "expected one feature vector with 1 features"
+    # two features, or two queries where one is expected
+    for x in ([1.0, 2.0], [[1.0]], [[0.0], [11.0]]):
+        with pytest.raises(ValueError, match=one):
+            predict(fit, x)
+        with pytest.raises(ValueError, match=one):
+            decision_score(fit, x, 1)
+    for x in ([[1.0, 2.0]], np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match="expected query rows with 1 features"):
+            predict_batch(fit, x)
+    # a scalar is one query when d = 1, and a 1-D x is one row
+    assert predict(fit, 10.6) == 2
+    assert decision_score(fit, 0.4, 1) == decision_score(fit, [0.4], 1)
+    assert predict_batch(fit, [0.4]).tolist() == [1]
+    assert predict_batch(fit, [[0.0], [11.0]]).tolist() == [1, 2]

@@ -171,7 +171,7 @@ def test_hyperparams_validation():
     assert hp.loss is not None and hp.loss.margin == 1.0
 
 
-@pytest.mark.parametrize("field", ["alpha", "gamma", "lam"])
+@pytest.mark.parametrize("field", ["alpha", "gamma", "lam", "eta0"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_hyperparams_reject_non_finite(field, value):
     with pytest.raises(ValueError, match="%s must be finite" % field):

@@ -581,6 +581,34 @@ def test_small_alpha_objective_is_the_pairwise_constraint_sum(mode, alpha):
         assert closed - slack <= at.j <= closed + spread + slack
 
 
+@pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
+@pytest.mark.parametrize("loss", [IdentityLoss(), HingeLoss(1.0)])
+def test_large_alpha_objective_is_the_extreme_neighbor_sum(mode, loss):
+    # at alpha = s 2^k, ds_i lies within ln|S_i| / |alpha| of e_i = min(S_i)
+    # (s = +1) or max(S_i) (s = -1), on the inner side; a monotone
+    # 1-Lipschitz loss carries that over to J:
+    #   0 <= s (J - J_inf) <= sum_i ln|S_i| / (|alpha| gamma),
+    #   J_inf = sum_i loss((e_i - dd_i) / gamma) + lam * sum_i sum_{j in S_i} d_ij
+    data, nbrs, m = _special_case(mode)
+    gamma, lam = 1.5, 0.01
+    q_s, _ = pair_quadforms(m, data, nbrs)
+    segments = _segments(q_s, nbrs.sim_ptr)
+    log_sizes = sum(np.log(v.size) for v in segments)
+    for s, extreme in ((1.0, np.min), (-1.0, np.max)):
+        e = np.array([extreme(v) for v in segments])
+        for k in range(1, 11):
+            alpha = s * 2.0 ** k
+            hp = HyperParams(alpha=alpha, gamma=gamma, lam=lam, loss=loss)
+            at = PairEvaluator(data, nbrs, hp).objective(m)
+            j_inf = float(loss.value((e - at.dd) / gamma).sum()) + lam * q_s.sum()
+            slack = (sum(_float_slack(v, alpha) for v in segments) / gamma
+                     + 64 * np.finfo(float).eps
+                     * ((np.abs(at.ds) + np.abs(at.dd)).sum() / gamma
+                        + np.abs(loss.value(at.u)).sum() + lam * q_s.sum()))
+            gap = s * (at.j - j_inf)
+            assert -slack <= gap <= log_sizes / (abs(alpha) * gamma) + slack
+
+
 # ---------------------------------------------------------------------------
 # NCA / PNCA
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptnn import soft_agg, solve_gamma_star, topk_avg_largest, topk_avg_smallest
+from adaptnn.softagg import _segment_soft_agg
 
 
 def test_topk_smallest_examples():
@@ -95,6 +96,33 @@ def test_soft_agg_strictly_decreasing_in_gamma():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_segment_soft_agg_mirror_is_bitwise():
+    # b(-a; -q) = -b(a; q) with the same softmax terms, bit for bit: the
+    # farthest side is the nearest side of the negated list
+    rng = np.random.default_rng(13)
+    alphas = [s * 2.0 ** k for s in (1.0, -1.0) for k in range(-9, 11)]
+    for _ in range(40):
+        counts = rng.integers(1, 9, size=rng.integers(1, 6))
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        q = rng.uniform(0, 20, size=ptr[-1])
+        for a in alphas:
+            b, e, total = _segment_soft_agg(q, a, ptr, counts)
+            mb, me, mtotal = _segment_soft_agg(-q, -a, ptr, counts)
+            assert mb.tobytes() == (-b).tobytes()
+            assert me.tobytes() == e.tobytes()
+            assert mtotal.tobytes() == total.tobytes()
+
+
+def test_largest_is_smallest_of_negated_values():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        v = np.unique(rng.uniform(-6, 6, size=rng.integers(2, 10)))
+        for k in range(1, v.size + 1):
+            assert topk_avg_largest(v, k) == -topk_avg_smallest(-v, k)
+            g = solve_gamma_star(v, k, "largest")
+            assert g == -solve_gamma_star(-v, k, "smallest")
+
+
 def test_soft_agg_shift_equivariance():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -127,6 +155,8 @@ def test_solver_k_equals_n_sentinel():
     # target is the plain mean, attained only in the gamma -> 0 limit
     assert solve_gamma_star([1.0, 2.0, 5.0], 3, "smallest") == 0.0
     assert solve_gamma_star([1.0, 2.0, 5.0], 3, "largest") == 0.0
+    # both modes return +0.0, not -0.0
+    assert math.copysign(1.0, solve_gamma_star([1.0, 2.0, 5.0], 3, "largest")) == 1.0
 
 
 def test_solver_bad_mode_and_k():
