@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import accuracy_by_k
-from .core import Dataset, HyperParams, MetricMatrix
+from .core import Dataset, HyperParams, MetricMatrix, _check_count
 from .data import (_data_lines, apply_zscore, build_neighbor_sets, fit_pca, apply_pca,
                    fit_zscore, load)
 from .objective import HingeLoss, nca_objective, pnca_objective
@@ -74,6 +74,9 @@ class ExperimentConfig:
             raise ValueError("split_fraction must be in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
+        if not (np.isfinite(self.eta0) and self.eta0 > 0):
+            raise ValueError("eta0 must be finite and > 0, got %g" % self.eta0)
+        _check_count(self.max_iters, "max_iters")
 
 
 @dataclass

@@ -23,15 +23,20 @@ over the pairs' quadratic forms.
 The evaluator reads the neighbor sets as their CSR arrays and reduces every
 sample's segment of distances with the per-segment soft aggregate of
 :mod:`adaptnn.softagg`; its :func:`~adaptnn.softagg.soft_agg` is the
-one-segment case. Since d_M is symmetric, it keeps one difference row per
-unordered pair {i, j}, however many of the two sides list it as (i, j) or
-(j, i), and two inverse maps from the similar and the dissimilar pairs to
-those rows. D_i is every other-class sample, so each dissimilar pair is
-listed twice, and so is each similar pair under "all_same_class": each
-quadratic form is computed once instead. The pass runs over the rows in
-fixed-size blocks, so its product with M stays cache-sized at any N. The
-gradient sums each row's pair weights through the same maps and scatters
-them once, to the row's (min, max) entry of w.
+one-segment case. Since d_M is symmetric, it has one row per unordered
+pair {i, j}, however many of the two sides list it as (i, j) or (j, i),
+keyed min*N + max, and two inverse maps from the similar and the
+dissimilar pairs to those rows. D_i is every other-class sample, so each
+dissimilar pair is listed twice, and so is each similar pair under
+"all_same_class": each quadratic form is computed once instead. The pass
+runs over the rows in fixed-size blocks, so its product with M stays
+cache-sized at any N. A row's difference x_min - x_max is stored once
+while the rows hold at most _STREAM_ELEMENTS numbers; above that the
+stored rows would be most of a fit's memory, so each pass gathers every
+block's differences from the features into two reused buffers instead.
+Both give the same forms bit for bit. The gradient sums each row's pair
+weights through the same maps and scatters them once, to the row's
+(min, max) entry of w.
 """
 
 from __future__ import annotations
@@ -116,9 +121,17 @@ def _sigmoid(z):
 # with M stays cache-sized instead of growing with the pair count
 _BLOCK_ROWS = 8192
 
+# Above this many difference-row elements (rows x d, 32 MiB of float64) the
+# rows are not stored: each pass gathers them from the features in blocks of
+# _STREAM_ROWS rows into two reused buffers. Below it storing them is
+# cheaper: a pass over stored rows does no gathering, and streaming would
+# double a pass at a CV fold's size (N = 119, d = 13).
+_STREAM_ELEMENTS = 1 << 22
+_STREAM_ROWS = 1024
 
-def _blocks(rows):
-    return [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, rows, _BLOCK_ROWS)]
+
+def _blocks(rows, step=_BLOCK_ROWS):
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -147,20 +160,25 @@ def _pair_weights(side, xi, counts):
 class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
-    The difference rows ``diff`` (one per unordered pair, x_min - x_max),
-    their keys min*N + max, the maps ``inv_s``/``inv_d`` from each similar
-    and dissimilar pair to its row and the centred features are built once
-    up front; each pair's owner is derived from the CSR pointers only to
-    key the rows. None of them depends on the metric and no call changes
-    them, so one instance serves a whole fit. :meth:`objective` also accepts
-    a raw square array (finite-difference checks step off the PSD cone).
+    The row keys min*N + max (one per unordered pair), the maps
+    ``inv_s``/``inv_d`` from each similar and dissimilar pair to its row and
+    the centred features are built once up front; each pair's owner is
+    derived from the CSR pointers only to key the rows. So are the
+    difference rows ``diff`` (x_min - x_max) while rows x d is at most
+    ``_STREAM_ELEMENTS``; above it ``diff`` is None and every pass gathers
+    each block's rows from the features ``x``. None of them depends on the
+    metric and no call changes them, so one instance serves a whole fit.
+    :meth:`objective` also accepts a raw square array (finite-difference
+    checks step off the PSD cone).
 
     The quadratic forms d_M of the pairs are the only per-pair d^2 work and
     always come from the difference rows, which keeps J free of
     cancellation. They are computed once per row, block by block, and read
     out per pair through the inverse maps; negating a row is exact, so they
-    equal the per-pair forms bit for bit. The gradient is formed as the
-    centred weighted Laplacian Xc^T (diag(W 1) - W) Xc, where W is the
+    equal the per-pair forms bit for bit. Gathered rows are the stored rows
+    bit for bit, and their blocks keep the stored blocks' row alignment and
+    last block, so both paths give the same forms. The gradient is formed
+    as the centred weighted Laplacian Xc^T (diag(W 1) - W) Xc, where W is the
     symmetrized N x N matrix of pair weights. Each row's weights are summed
     and written to its (min, max) entry before w + w^T; when every
     unordered pair is listed on one side only and at most once each way,
@@ -193,17 +211,46 @@ class PairEvaluator:
         row[self.keys] = np.arange(self.keys.size)
         self.inv_s, self.inv_d = row[key_s], row[key_d]
         del seen, row, key_s, key_d  # before the rows are allocated
-        lo, hi = np.divmod(self.keys, n)
-        self.diff = np.empty((self.keys.size, x.shape[1]))
-        for b in _blocks(self.keys.size):
-            np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
+        self.x = x
+        self.diff = None
+        if self.keys.size * x.shape[1] <= _STREAM_ELEMENTS:
+            lo, hi = np.divmod(self.keys, n)
+            self.diff = np.empty((self.keys.size, x.shape[1]))
+            for b in _blocks(self.keys.size):
+                np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
         self.xc = x - x.sum(axis=0) / n  # x.mean(axis=0), bit for bit
+
+    def _row_blocks(self):
+        """Each block's slice of the rows and its difference rows: views of
+        ``diff`` when it is stored, else rows gathered from the features
+        into two buffers that every block reuses."""
+        if self.diff is not None:
+            for b in _blocks(self.keys.size):
+                yield b, self.diff[b]
+            return
+        n, d = self.x.shape
+        rows = self.keys.size
+        # the stored blocks cut into _STREAM_ROWS-row pieces (_BLOCK_ROWS is a
+        # multiple of it), but the last one whole: BLAS may round a ragged
+        # product's tail rows differently from the same rows inside a larger
+        # product, so that block keeps the stored shape
+        last = _blocks(rows)[-1]
+        size = max(_STREAM_ROWS, rows - last.start)
+        x_lo, x_hi = np.empty((size, d)), np.empty((size, d))
+        for b in _blocks(last.start, _STREAM_ROWS) + [last]:
+            # lo and hi are in range by construction; mode "clip" gathers
+            # straight into the buffer, where "raise" gathers into a copy
+            lo, hi = np.divmod(self.keys[b], n)
+            diff = np.take(self.x, lo, axis=0, out=x_lo[:lo.size], mode="clip")
+            np.subtract(diff, np.take(self.x, hi, axis=0, out=x_hi[:hi.size],
+                                      mode="clip"), out=diff)
+            yield b, diff
 
     def _quadforms(self, m):
         mm = _as_array(m)
-        q = np.empty(self.diff.shape[0])
-        for b in _blocks(q.size):
-            np.einsum("pi,pi->p", self.diff[b] @ mm, self.diff[b], out=q[b])
+        q = np.empty(self.keys.size)
+        for b, rows in self._row_blocks():
+            np.einsum("pi,pi->p", rows @ mm, rows, out=q[b])
         np.maximum(q, 0.0, out=q)
         return q[self.inv_s], q[self.inv_d]
 

@@ -379,6 +379,27 @@ def test_config_eta0_must_be_finite(tmp_path):
         run_experiment(load_config(cfg_file))
 
 
+@pytest.mark.parametrize("method", ["ann_plus", "euclidean_baseline"])
+def test_config_checks_eta0_and_max_iters(method):
+    # checked when the config is built, under every method, before any data
+    # is read; euclidean_baseline trains nothing and would never reach them
+    for eta0 in (float("inf"), float("nan"), 0.0, -1e-3):
+        with pytest.raises(ValueError, match="eta0 must be finite and > 0"):
+            ExperimentConfig(dataset="x", path="p", method=method, eta0=eta0)
+    for max_iters in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            ExperimentConfig(dataset="x", path="p", method=method,
+                             max_iters=max_iters)
+
+
+def test_config_file_eta0_checked_at_load(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\ndataset_path = toy.csv\n"
+                        "method = euclidean_baseline\neta0 = inf\n")
+    with pytest.raises(ValueError, match="eta0 must be finite"):
+        load_config(cfg_file)
+
+
 def test_sparse_format_through_harness(tmp_path):
     rng = np.random.default_rng(12)
     ds = make_dataset(rng, n=24, d=3, classes=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from adaptnn import (Dataset, HingeLoss, HyperParams, IdentityLoss, MetricMatrix,
                      NeighborSets, SoftplusLoss, ann_gradient, ann_objective,
                      build_neighbor_sets, nca_objective, pnca_objective, soft_agg)
+from adaptnn import objective
 from adaptnn.objective import PairEvaluator
 from helpers import (listed_pair_evaluation, mahalanobis_sq, make_dataset,
                      make_instance, neighbor_weights, owners, pair_quadforms,
@@ -471,6 +474,60 @@ def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
     # all_same_class lists every pair from both ends, on either side
     n_listed = nbrs.sim_nbr.size + nbrs.dis_nbr.size
     assert sum(rows) == len(_unordered_pairs(nbrs)) == n_listed // 2
+
+
+# ---------------------------------------------------------------------------
+# Streamed difference rows: the stored rows' bits without storing them
+
+
+def _stored_and_streamed(monkeypatch, data, nbrs, hp, m):
+    """(q_s, q_d, ds, dd, j, gradient) with the rows stored, then streamed."""
+    out = []
+    for limit, streamed in ((1 << 62, False), (0, True)):
+        monkeypatch.setattr(objective, "_STREAM_ELEMENTS", limit)
+        ev = PairEvaluator(data, nbrs, hp)
+        assert (ev.diff is None) == streamed
+        at = ev.objective(m)
+        out.append(ev._quadforms(m) + (at.ds, at.dd, at.j, ev.gradient(at)))
+    return out
+
+
+@pytest.mark.parametrize("n, d, mode", [
+    # 28,680 rows: three whole stored blocks and a ragged 4,104-row last one;
+    # at d = 33 BLAS rounds a lone 8-row tail differently from the same rows
+    # inside that last block
+    (240, 33, "all_same_class"),
+    # ragged at both block sizes, with non-mutual similar pairs
+    (300, 5, "knn_same_class"),
+    # fewer rows than one stored block
+    (40, 4, "all_same_class")])
+@pytest.mark.parametrize("hp", [
+    HyperParams(alpha=2.0, gamma=1.5, lam=0.01),
+    HyperParams(alpha=-2.0, gamma=0.5, lam=0.003,
+                loss=SoftplusLoss(margin=0.5, sharpness=2.0))])
+def test_streamed_rows_equal_stored_rows(monkeypatch, n, d, mode, hp):
+    rng = np.random.default_rng(n + d)
+    data, nbrs = make_instance(rng, n=n, d=d, classes=3, mode=mode, k0=5)
+    m = MetricMatrix(random_psd(rng, d, jitter=0.1))
+    stored, streamed = _stored_and_streamed(monkeypatch, data, nbrs, hp, m)
+    for a, b in zip(stored, streamed):
+        assert np.array_equal(a, b)
+
+
+def test_streamed_evaluator_holds_no_rows():
+    # N = 900, d = 24: 404,550 rows x 24 is over the streaming threshold, and
+    # the stored rows alone would take 77.7 MB
+    rng = np.random.default_rng(23)
+    data, nbrs = make_instance(rng, n=900, d=24, classes=3)
+    tracemalloc.start()
+    try:
+        ev = PairEvaluator(data, nbrs, HyperParams(alpha=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.keys.size * 24 > objective._STREAM_ELEMENTS
+    # the row maps are traced, so the peak is a real measurement
+    assert ev.inv_s.nbytes + ev.inv_d.nbytes <= peak < ev.keys.size * 24 * 8 / 2
 
 
 # ---------------------------------------------------------------------------
