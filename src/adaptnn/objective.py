@@ -10,12 +10,13 @@ top-K averages), then penalizes ds_i exceeding dd_i:
 :class:`PairEvaluator` is the one place that turns (M, data, neighbor sets)
 into soft sides, J and its gradient. The gradient is a weighted sum of pair
 outer products (x_i-x_j)(x_i-x_j)^T with softmax weights w_ij. Scattered
-into an N x N matrix w and symmetrized as W = w + w^T, that sum is the
-weighted-Laplacian form X^T (diag(W 1) - W) X (the identity NCA
-implementations use), so the per-call gradient work is O(P + N^2 d) instead
-of d^2 per pair. X is centred first: the Laplacian annihilates constant
-columns, so the result is the same, but without the centring a large common
-offset in the features cancels catastrophically. The objective returns an
+into the upper triangle of one N x N matrix and mirrored in place into its
+lower triangle to form W, that sum is the weighted-Laplacian form
+X^T (diag(W 1) - W) X (the identity NCA implementations use), so the
+per-call gradient work is O(P + N^2 d) instead of d^2 per pair. X is
+centred first: the Laplacian annihilates constant columns, so the result is
+the same, but without the centring a large common offset in the features
+cancels catastrophically. The objective returns an
 :class:`Evaluation` holding J and the soft sides it came from, and the
 gradient takes that evaluation, so J and dJ/dM at one metric share one pass
 over the pairs' quadratic forms.
@@ -36,7 +37,7 @@ stored rows would be most of a fit's memory, so each pass gathers every
 block's differences from the features into two reused buffers instead.
 Both give the same forms bit for bit. The gradient sums each row's pair
 weights through the same maps and scatters them once, to the row's
-(min, max) entry of w.
+(min, max) entry of W, so a gradient holds one N x N array.
 """
 
 from __future__ import annotations
@@ -130,6 +131,12 @@ _STREAM_ELEMENTS = 1 << 22
 _STREAM_ROWS = 1024
 
 
+# rows per block of the gradient's in-place mirror w + w^T: at N = 1500 a
+# block's transposed column block stays in L2, and a CV fold's N x N matrix
+# is one block, which costs no more than w + w^T
+_MIRROR_ROWS = 256
+
+
 def _blocks(rows, step=_BLOCK_ROWS):
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
@@ -146,6 +153,33 @@ class Evaluation:
     u: np.ndarray
     sim: tuple
     dis: tuple
+
+
+def _pair_keys(counts, nbr):
+    """min(i, j)*N + max(i, j) of each listed pair (i, j), with i the owner
+    from the CSR counts: the owners are overwritten block by block, so the
+    keys are the one pair-sized array."""
+    n = counts.size
+    key = np.arange(n).repeat(counts)
+    for b in _blocks(key.size):
+        i, j = key[b], nbr[b]
+        np.minimum(i * n + j, j * n + i, out=i)
+    return key
+
+
+def _mirror_upper(w):
+    """w + w^T in place, for a square w that is zero below its diagonal.
+
+    Each row block's lower entries take the transposed upper column block,
+    and each diagonal block adds its own transpose. The lower entries are
+    +0.0, so this equals w + w^T bit for bit unless an upper entry is -0.0.
+    """
+    for lo in range(0, w.shape[0], _MIRROR_ROWS):
+        hi = lo + _MIRROR_ROWS
+        block = w[lo:hi, lo:hi]
+        block += block.T.copy()
+        if lo:
+            w[lo:hi, :lo] = w[:lo, lo:hi].T
 
 
 def _pair_weights(side, xi, counts):
@@ -179,11 +213,14 @@ class PairEvaluator:
     bit for bit, and their blocks keep the stored blocks' row alignment and
     last block, so both paths give the same forms. The gradient is formed
     as the centred weighted Laplacian Xc^T (diag(W 1) - W) Xc, where W is the
-    symmetrized N x N matrix of pair weights. Each row's weights are summed
-    and written to its (min, max) entry before w + w^T; when every
-    unordered pair is listed on one side only and at most once each way,
-    as in every set :func:`~adaptnn.data.build_neighbor_sets` makes, W
-    equals the per-listed-pair scatter bit for bit.
+    symmetric N x N matrix of pair weights. Each row's weights are summed
+    and written to its (min, max) entry of one zeroed N x N buffer, whose
+    upper triangle is then mirrored into the lower one in place. The lower
+    entries are +0.0 and a ``bincount`` sum is never -0.0, so that equals
+    w + w^T bit for bit. When every unordered pair is listed on one
+    side only and at most once each way, as in every set
+    :func:`~adaptnn.data.build_neighbor_sets` makes, W equals the
+    per-listed-pair scatter bit for bit.
     """
 
     def __init__(self, data: Dataset, nbrs: NeighborSets, hp: HyperParams):
@@ -198,19 +235,19 @@ class PairEvaluator:
         self.dis_counts = nbrs.dis_ptr[1:] - nbrs.dis_ptr[:-1]
         # one row per unordered pair, keyed min*n + max; a pair listed as both
         # (i, j) and (j, i) shares its row
-        s_owner = np.arange(n).repeat(self.sim_counts)
-        d_owner = np.arange(n).repeat(self.dis_counts)
-        key_s = np.minimum(s_owner * n + nbrs.sim_nbr, nbrs.sim_nbr * n + s_owner)
-        key_d = np.minimum(d_owner * n + nbrs.dis_nbr, nbrs.dis_nbr * n + d_owner)
-        del s_owner, d_owner
+        key_s = _pair_keys(self.sim_counts, nbrs.sim_nbr)
+        key_d = _pair_keys(self.dis_counts, nbrs.dis_nbr)
         seen = np.zeros(n * n, dtype=bool)
         seen[key_s] = True
         seen[key_d] = True
         self.keys = seen.nonzero()[0]
+        del seen
         row = np.empty(n * n, dtype=np.intp)
         row[self.keys] = np.arange(self.keys.size)
-        self.inv_s, self.inv_d = row[key_s], row[key_d]
-        del seen, row, key_s, key_d  # before the rows are allocated
+        self.inv_s = row[key_s]
+        del key_s
+        self.inv_d = row[key_d]
+        del row, key_d  # before the rows are allocated
         self.x = x
         self.diff = None
         if self.keys.size * x.shape[1] <= _STREAM_ELEMENTS:
@@ -269,18 +306,22 @@ class PairEvaluator:
         """dJ/dM at the metric that :meth:`objective` evaluated as ``at``."""
         hp = self.hp
         xi = hp.loss.derivative(at.u) / hp.gamma
+        rows = self.keys.size
+        # each unordered pair's weight, summed over its listings; one side's
+        # pair weights are freed before the other side's exist
+        r_d = np.bincount(self.inv_d, _pair_weights(at.dis, xi, self.dis_counts), rows)
         w_s = _pair_weights(at.sim, xi, self.sim_counts)
         w_s += hp.lam
-        w_d = _pair_weights(at.dis, xi, self.dis_counts)
-        # each unordered pair's weight, summed over its listings, lands in the
-        # upper triangle; w + w.T mirrors it
-        rows = self.keys.size
+        r = np.bincount(self.inv_s, w_s, rows)
+        del w_s
+        r -= r_d
+        del r_d
         n = self.xc.shape[0]
         w = np.zeros(n * n)
-        w[self.keys] = (np.bincount(self.inv_s, w_s, rows)
-                        - np.bincount(self.inv_d, w_d, rows))
+        w[self.keys] = r
+        del r
         w = w.reshape(n, n)
-        w = w + w.T
+        _mirror_upper(w)
         grad = (self.xc.T * w.sum(axis=1)) @ self.xc - self.xc.T @ (w @ self.xc)
         return (grad + grad.T) / 2.0
 

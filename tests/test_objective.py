@@ -531,6 +531,67 @@ def test_streamed_evaluator_holds_no_rows():
 
 
 # ---------------------------------------------------------------------------
+# Transient memory: one N x N buffer per gradient, one side's keys in setup
+
+
+def _traced_peak(call):
+    """(result, peak traced bytes above the traced bytes at entry)."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_evaluator_setup_holds_one_side_of_keys(monkeypatch):
+    # streamed, so the stored difference rows do not hide the setup's peak:
+    # the N^2 row map, the unique keys, both inverse maps and the keys of
+    # the side being mapped; the owners and a second side's keys are gone
+    monkeypatch.setattr(objective, "_STREAM_ELEMENTS", 0)
+    n = 600
+    data, nbrs = make_instance(np.random.default_rng(29), n=n, d=8, classes=3)
+    ev, peak = _traced_peak(lambda: PairEvaluator(data, nbrs, HyperParams(alpha=1.0)))
+    sides = (nbrs.sim_nbr.size, nbrs.dis_nbr.size)
+    held = n * n + ev.keys.size + sum(sides) + max(sides)
+    assert 8 * held <= peak < 1.02 * 8 * held
+
+
+def test_gradient_holds_one_square_buffer():
+    # w and the unordered-pair sums, never w next to a second N x N array
+    n = 600
+    rng = np.random.default_rng(29)
+    data, nbrs = make_instance(rng, n=n, d=8, classes=3)
+    ev = PairEvaluator(data, nbrs, HyperParams(alpha=1.0, lam=0.01))
+    at = ev.objective(MetricMatrix(random_psd(rng, 8, jitter=0.1)))
+    _, peak = _traced_peak(lambda: ev.gradient(at))
+    assert 8 * n * n <= peak < 8 * (1.5 * n * n + ev.keys.size)
+
+
+_B = objective._MIRROR_ROWS
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + _B // 2])
+def test_mirror_equals_w_plus_wt(n):
+    # below one row block, exactly one, one row over, and a ragged multiple
+    rng = np.random.default_rng(n)
+    w = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7))
+    expected = w + w.T
+    objective._mirror_upper(w)
+    assert np.array_equal(w, expected)
+    # and through the evaluator, against the listed-pair w + w^T oracle
+    data, nbrs = make_instance(rng, n=n, d=3, classes=3, mode="knn_same_class",
+                               k0=5)
+    hp = HyperParams(alpha=-2.0, gamma=0.5, lam=0.003)
+    m = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    ev = PairEvaluator(data, nbrs, hp)
+    assert np.array_equal(ev.gradient(ev.objective(m)),
+                          listed_pair_evaluation(m, data, nbrs, hp)[3])
+
+
+# ---------------------------------------------------------------------------
 # Evaluations: objective returns one, gradient only reads it
 
 
