@@ -66,12 +66,12 @@ class ExperimentConfig:
             raise ValueError("ann_minus requires a negative alpha grid")
         if any(g <= 0 for g in self.gamma_grid):
             raise ValueError("gamma grid must be positive")
-        if any(k < 1 for k in self.k_grid):
-            raise ValueError("k grid must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for k in self.k_grid:
+            _check_count(k, "k_grid value")
+        _check_count(self.repetitions, "repetitions")
         if not 0 < self.split_fraction < 1:
             raise ValueError("split_fraction must be in (0, 1)")
+        _check_count(self.cv_folds, "cv_folds")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if not (np.isfinite(self.eta0) and self.eta0 > 0):

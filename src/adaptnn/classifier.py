@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MetricMatrix, _require_metric
+from .core import Dataset, MetricMatrix, _check_count, _require_metric
 from .metric import _table_blocks, pairwise_sq
 from .softagg import topk_avg_smallest
 
@@ -34,8 +34,8 @@ class FitKnn:
 
 def _check_fit(train: Dataset, metric: MetricMatrix, ks) -> None:
     """The checks FitKnn makes, once for every K in ks."""
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
+    for k in ks:
+        _check_count(k, "k")
     if _require_metric(metric, "metric").dim != train.n_features:
         raise ValueError("metric dimension %d does not match %d features"
                          % (metric.dim, train.n_features))
@@ -83,8 +83,8 @@ def _predictions(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
 def decision_score(fit: FitKnn, x, c: int) -> float:
     """Bi-class score: avg-K-smallest distance to class c minus the same for
     the complement; negative means x is assigned to class c."""
-    if not 1 <= c <= fit.train.n_classes:
-        raise ValueError("unknown class %d" % c)
+    if c not in range(1, fit.train.n_classes + 1):
+        raise ValueError("unknown class %s" % (c,))
     dists = pairwise_sq(fit.metric, _queries(fit.train, x, one=True),
                         fit.train.features)[0]
     in_c = fit.train.labels == c
@@ -109,10 +109,10 @@ def accuracy_by_k(train: Dataset, metric: MetricMatrix, test: Dataset,
                   k_grid) -> dict:
     """{K: accuracy on test} for every K in k_grid, all scored from one
     test-to-train distance table."""
-    ks = list(dict.fromkeys(int(k) for k in k_grid))
+    ks = list(dict.fromkeys(k_grid))
     _check_fit(train, metric, ks)
     preds = _predictions(train, metric, _queries(train, test.features), ks)
-    return {k: float(np.mean(pred == test.labels)) for k, pred in zip(ks, preds)}
+    return {int(k): float(np.mean(pred == test.labels)) for k, pred in zip(ks, preds)}
 
 
 def accuracy(fit: FitKnn, test: Dataset) -> float:

@@ -392,6 +392,19 @@ def test_config_checks_eta0_and_max_iters(method):
                              max_iters=max_iters)
 
 
+
+def test_config_rejects_fractional_counts():
+    # checked when the config is built, before any data is read; a fractional
+    # K would otherwise be cast down to K = 1 in the sweep
+    for kwargs, message in (({"k_grid": (1.5, 4)}, "k_grid value must be an integer >= 1"),
+                            ({"k_grid": (1, 0)}, "k_grid value must be an integer >= 1"),
+                            ({"repetitions": 2.5}, "repetitions must be an integer >= 1"),
+                            ({"repetitions": 0}, "repetitions must be an integer >= 1"),
+                            ({"cv_folds": 2.5}, "cv_folds must be an integer >= 1"),
+                            ({"cv_folds": 1}, "cv_folds must be >= 2")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(dataset="x", path="p", **kwargs)
+
 def test_config_file_eta0_checked_at_load(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("dataset = toy\ndataset_path = toy.csv\n"

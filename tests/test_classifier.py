@@ -60,6 +60,24 @@ def test_unknown_class_rejected():
         decision_score(fit, [0.0], 7)
 
 
+def test_non_integer_class_id_rejected():
+    fit = FitKnn(train=_line_dataset(), metric=MetricMatrix.identity(1), k=1)
+    # 1.5 lies between class ids 1 and 2 but names neither
+    with pytest.raises(ValueError, match="unknown class 1.5"):
+        decision_score(fit, [0.0], 1.5)
+
+
+@pytest.mark.parametrize("k", [1.5, 0, -2])
+def test_fractional_or_nonpositive_k_rejected(k):
+    ds = _line_dataset()
+    metric = MetricMatrix.identity(1)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        FitKnn(train=ds, metric=metric, k=k)
+    # a cast to int would silently score K = 1 for 1.5
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        accuracy_by_k(ds, metric, ds, (k, 2))
+
+
 def test_k1_equals_bruteforce_1nn():
     rng = np.random.default_rng(1)
     for _ in range(10):
