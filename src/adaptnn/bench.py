@@ -11,6 +11,7 @@ training partition.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -20,8 +21,8 @@ import numpy as np
 
 from .classifier import accuracy_by_k
 from .core import Dataset, HyperParams, MetricMatrix, _check_count
-from .data import (_data_lines, apply_zscore, build_neighbor_sets, fit_pca, apply_pca,
-                   fit_zscore, load)
+from .data import (_check_format, _data_lines, apply_zscore,
+                   build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load)
 from .objective import HingeLoss, nca_objective, pnca_objective
 from .optimizer import default_init, train
 
@@ -55,6 +56,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError("unknown method %r" % (self.method,))
+        _check_format(self.format)
         for name in ("alpha_grid", "gamma_grid", "k_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError("%s must be non-empty" % name)
@@ -77,6 +79,8 @@ class ExperimentConfig:
         if not (np.isfinite(self.eta0) and self.eta0 > 0):
             raise ValueError("eta0 must be finite and > 0, got %g" % self.eta0)
         _check_count(self.max_iters, "max_iters")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0, got %r" % (self.seed,))
 
 
 @dataclass
@@ -343,45 +347,45 @@ def load_registry(path) -> dict:
     return out
 
 
-_INT_KEYS = {"repetitions", "cv_folds", "seed", "max_iters"}
-_FLOAT_KEYS = {"split_fraction", "eta0"}
-_GRID_KEYS = {"alpha_grid", "gamma_grid", "k_grid"}
+def _grid(conv):
+    """Reader of a grid: entries split on whitespace and commas, each conv'd."""
+    return lambda value: tuple(conv(v) for v in value.replace(",", " ").split())
+
+
+# every config key -> the reader of its value
+_READERS = {"dataset": str, "dataset_path": str, "dataset_format": str,
+            "registry": str, "method": str, "alpha_grid": _grid(float),
+            "gamma_grid": _grid(float), "k_grid": _grid(int), "repetitions": int,
+            "split_fraction": float, "cv_folds": int, "seed": int,
+            "max_iters": int, "eta0": float}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a 'key = value' config; grids are whitespace/comma separated.
-
-    Either dataset_path+dataset_format or a registry reference must resolve
-    the dataset location.
-    """
-    raw = {key: value for _, key, value in _entries(path, "expected 'key = value'")}
-
-    if "dataset" not in raw:
+    """Parse a 'key = value' config. The dataset is found through either
+    dataset_path (with dataset_format, default delimited) or a registry, not
+    both. An unknown key, or a value that its key's reader rejects, raises
+    ValueError naming the file, the line and the key."""
+    kwargs = {}
+    for lineno, key, value in _entries(path, "expected 'key = value'"):
+        if key not in _READERS:
+            raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
+        try:
+            kwargs[key] = _READERS[key](value)
+        except ValueError as exc:
+            raise ValueError("%s:%d: cannot read %s = %r: %s"
+                             % (path, lineno, key, value, exc)) from None
+    if "dataset" not in kwargs:
         raise ValueError("config must name a dataset")
-    name = raw.pop("dataset")
-    if "dataset_path" in raw:
-        ds_path = str(Path(path).parent / raw.pop("dataset_path"))
-        ds_format = raw.pop("dataset_format", "delimited")
-    elif "registry" in raw:
-        registry = load_registry(Path(path).parent / raw.pop("registry"))
-        if name not in registry:
-            raise ValueError("dataset %r not in registry" % name)
-        ds_path, ds_format = registry[name]
+    where = {key: kwargs.pop(key) for key in ("dataset_path", "dataset_format",
+                                               "registry") if key in kwargs}
+    if "registry" in where and len(where) == 1:
+        registry = load_registry(Path(path).parent / where["registry"])
+        if kwargs["dataset"] not in registry:
+            raise ValueError("dataset %r not in registry" % kwargs["dataset"])
+        kwargs["path"], kwargs["format"] = registry[kwargs["dataset"]]
+    elif "dataset_path" in where and "registry" not in where:
+        kwargs["path"] = str(Path(path).parent / where["dataset_path"])
+        kwargs["format"] = where.get("dataset_format", "delimited")
     else:
         raise ValueError("config needs either dataset_path or registry")
-
-    kwargs = {"dataset": name, "path": ds_path, "format": ds_format}
-    for key, value in raw.items():
-        if key in _GRID_KEYS:
-            items = value.replace(",", " ").split()
-            conv = int if key == "k_grid" else float
-            kwargs[key] = tuple(conv(v) for v in items)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key == "method":
-            kwargs[key] = value
-        else:
-            raise ValueError("unknown config key %r" % key)
     return ExperimentConfig(**kwargs)

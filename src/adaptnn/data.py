@@ -23,6 +23,7 @@ import numpy as np
 from .core import Dataset, NeighborSets, _check_count
 
 CONSTANT_COLUMN_TOL = 1e-12
+_FORMATS = ("delimited", "sparse_index_value")  # the two grammars above
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,12 @@ def _remap_labels(tokens):
     return np.array(out, dtype=int), seen
 
 
+def _check_format(format: str) -> None:
+    if format not in _FORMATS:
+        raise ValueError("unknown format %r; the formats are %s"
+                         % (format, ", ".join(_FORMATS)))
+
+
 def _data_lines(path):
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -51,11 +58,10 @@ def _data_lines(path):
 def load(path, format: str = "delimited", delimiter: str = ",",
          label_column: int = -1) -> Dataset:
     """Parse a dataset file; see the module docstring for the two grammars."""
+    _check_format(format)
     if format == "delimited":
         return _load_delimited(path, delimiter, label_column)
-    if format == "sparse_index_value":
-        return _load_sparse(path)
-    raise ValueError("unknown format %r" % (format,))
+    return _load_sparse(path)
 
 
 def _load_delimited(path, delimiter, label_column) -> Dataset:
@@ -124,19 +130,19 @@ def _load_sparse(path) -> Dataset:
 def save(dataset: Dataset, path, format: str = "delimited",
          delimiter: str = ",") -> None:
     """Serialize a Dataset so load() round-trips features bit-exactly
-    (delimited writes repr() of each float)."""
+    (delimited writes repr() of each float). An unknown format raises
+    ValueError before path is opened."""
+    _check_format(format)
     with open(path, "w", encoding="utf-8") as f:
         if format == "delimited":
             for row, label in zip(dataset.features, dataset.labels):
                 f.write(delimiter.join(repr(float(v)) for v in row))
                 f.write(delimiter + str(int(label)) + "\n")
-        elif format == "sparse_index_value":
+        else:
             for row, label in zip(dataset.features, dataset.labels):
                 items = ["%d:%s" % (j + 1, repr(float(v)))
                          for j, v in enumerate(row) if v != 0.0]
                 f.write(" ".join([str(int(label))] + items) + "\n")
-        else:
-            raise ValueError("unknown format %r" % (format,))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ weights through the same maps and scatters them once, to the row's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,9 @@ class HingeLoss:
     margin: float = 1.0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("hinge margin must be >= 0")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError("hinge margin must be finite and >= 0, got %r"
+                             % (self.margin,))
 
     def value(self, x):
         return np.maximum(np.asarray(x, dtype=float) + self.margin, 0.0)
@@ -92,8 +94,11 @@ class SoftplusLoss:
     sharpness: float = 1.0
 
     def __post_init__(self):
-        if not self.sharpness > 0:
-            raise ValueError("softplus sharpness must be > 0")
+        if not math.isfinite(self.margin):
+            raise ValueError("softplus margin must be finite, got %r" % (self.margin,))
+        if not (math.isfinite(self.sharpness) and self.sharpness > 0):
+            raise ValueError("softplus sharpness must be finite and > 0, got %r"
+                             % (self.sharpness,))
 
     def value(self, x):
         z = self.sharpness * (np.asarray(x, dtype=float) + self.margin)

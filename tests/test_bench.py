@@ -357,6 +357,32 @@ def test_repeated_config_key_is_an_error(tmp_path):
         load_config(cfg_file)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("alpha = 1", r"exp.cfg:3: unknown config key 'alpha'"),
+    ("repetitions = 2.5", r"exp.cfg:3: cannot read repetitions = '2.5'"),
+    ("seed = 1.5", r"exp.cfg:3: cannot read seed = '1.5'"),
+    ("alpha_grid = 1 x", r"exp.cfg:3: cannot read alpha_grid = '1 x': .*'x'"),
+    ("k_grid = 1, 4.0", r"exp.cfg:3: cannot read k_grid = '1, 4.0': .*'4.0'"),
+    ("eta0 = fast", r"exp.cfg:3: cannot read eta0 = 'fast'")])
+def test_config_line_errors_name_file_line_and_key(tmp_path, line, message):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\ndataset_path = toy.csv\n%s\n" % line)
+    with pytest.raises(ValueError, match=message):
+        load_config(cfg_file)
+
+
+@pytest.mark.parametrize("location", [
+    "dataset_path = toy.csv\nregistry = registry.cfg\n",
+    "registry = registry.cfg\ndataset_format = delimited\n",
+    "dataset_format = delimited\n"])
+def test_config_dataset_location_is_path_or_registry(tmp_path, location):
+    (tmp_path / "registry.cfg").write_text("toy = toy.csv delimited\n")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\n" + location)
+    with pytest.raises(ValueError, match="config needs either dataset_path or registry"):
+        load_config(cfg_file)
+
+
 def test_repeated_registry_name_is_an_error(tmp_path):
     reg = tmp_path / "registry.cfg"
     reg.write_text("# datasets\ntoy = a.csv delimited\ntoy = b.csv delimited\n")
@@ -405,6 +431,29 @@ def test_config_rejects_fractional_counts():
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(dataset="x", path="p", **kwargs)
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": None}, "seed must be an integer >= 0, got None"),
+    ({"format": "csv"}, "unknown format 'csv'")])
+def test_config_checks_seed_and_format(kwargs, message):
+    # checked when the config is built, before any data is read
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(dataset="x", path="p", **kwargs)
+    ExperimentConfig(dataset="x", path="p", seed=np.int64(0))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed must be an integer >= 0, got -1"),
+    ("dataset_format = csv", "unknown format 'csv'")])
+def test_config_file_seed_and_format_checked_at_load(tmp_path, line, message):
+    # the dataset file does not exist: the error comes before it is read
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\ndataset_path = absent.csv\n%s\n" % line)
+    with pytest.raises(ValueError, match=message):
+        load_config(cfg_file)
+
+
 def test_config_file_eta0_checked_at_load(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("dataset = toy\ndataset_path = toy.csv\n"
@@ -427,6 +476,27 @@ def test_sparse_format_through_harness(tmp_path):
     rec = run_experiment(cfg)[0]
     assert len(rec.accuracies) == 2
     assert all(0.0 <= a <= 1.0 for a in rec.accuracies)
+
+
+def test_pca_beyond_threshold_features(tmp_path, monkeypatch):
+    # z-scoring then PCA to PCA_THRESHOLD components, fitted on the train part
+    rng = np.random.default_rng(13)
+    ds = make_dataset(rng, n=30, d=bench.PCA_THRESHOLD + 10, classes=2)
+    p = tmp_path / "wide.csv"
+    save(ds, p)
+    seen = []
+    sweep = bench.accuracy_by_k
+
+    def recording_sweep(train, metric, test, k_grid):
+        seen.append((train.n_features, test.n_features, metric.dim))
+        return sweep(train, metric, test, k_grid)
+
+    monkeypatch.setattr(bench, "accuracy_by_k", recording_sweep)
+    cfg = ExperimentConfig(dataset="wide", path=str(p), method="euclidean_baseline",
+                           k_grid=(1, 3), repetitions=2, seed=4)
+    rec = run_experiment(cfg)[0]
+    assert seen == [(bench.PCA_THRESHOLD,) * 3] * 2
+    assert len(rec.accuracies) == 2
 
 
 def test_full_grids():

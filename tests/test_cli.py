@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import adaptnn
 from adaptnn import Dataset, save
@@ -49,6 +50,14 @@ def test_run_seed_override(tmp_path):
     r1, r2 = parse_report(out1)[0], parse_report(out2)[0]
     assert r1.accuracies == r2.accuracies  # wall time may differ, results not
     assert r1.acc_by_k == r2.acc_by_k
+
+
+def test_run_rejects_negative_seed_before_running(tmp_path):
+    cfg = _write_toy_setup(tmp_path)
+    out = tmp_path / "report.jsonl"
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        main(["run", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_module_entry_point_lists_subcommands():

@@ -53,6 +53,16 @@ def test_too_few_samples_rejected():
         Dataset([[1.0]], [1])
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(4), [1, 1, 2, 2], "features must be a 2-D array, got ndim=1"),
+    (np.zeros((2, 2, 2)), [1, 2], "features must be a 2-D array, got ndim=3"),
+    (np.zeros((4, 2)), [1, 1, 2], r"labels must have shape \(4,\), got \(3,\)"),
+    (np.zeros((4, 2)), [[1, 1], [2, 2]], r"labels must have shape \(4,\)")])
+def test_dataset_rejects_misshapen_arrays(features, labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(features, labels)
+
+
 def test_dataset_arrays_are_readonly():
     ds = Dataset([[0.0], [1.0]], [1, 2])
     with pytest.raises(ValueError):
@@ -114,6 +124,8 @@ def test_neighbor_sets_validation():
         NeighborSets([[1], [0], [3], [7]], [[2], [3], [0], [1]], labels=labels)
     with pytest.raises(ValueError, match="out of range"):
         NeighborSets([[1], [0], [3], [2]], [[2], [3], [0], [4]], labels=labels)
+    with pytest.raises(ValueError, match="similar and dissimilar must have equal length"):
+        NeighborSets([[1], [0], [3], [2]], [[2], [3], [0]])
 
 
 def test_neighbor_sets_reject_non_integral_index():

@@ -57,6 +57,32 @@ def test_load_bad_sparse_pair(tmp_path):
         load(p, format="sparse_index_value")
 
 
+@pytest.mark.parametrize("text, kwargs, message", [
+    ("1.0,1\n", {"format": "csv"}, "unknown format 'csv'"),
+    ("# header\n1.0\n", {}, "bad.txt:2: need at least one feature and a label"),
+    ("1.0,2.0,1\n", {"label_column": 3}, "label column 3 out of range for 3 fields"),
+    ("1.0,2.0,1\n", {"label_column": -4}, "label column -4 out of range for 3 fields"),
+    ("1.0,2.0,1\n1.0,x,2\n", {}, "bad.txt:2: unparseable feature value"),
+    ("1 1:0.5\n2 0:1.0\n", {"format": "sparse_index_value"},
+     "bad.txt:2: indices are 1-based, got 0"),
+    ("# only a comment\n", {"format": "sparse_index_value"}, "bad.txt: no data lines"),
+    ("1\n2\n", {"format": "sparse_index_value"}, "bad.txt: no feature entries"),
+])
+def test_load_errors_name_the_fault(tmp_path, text, kwargs, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load(p, **kwargs)
+
+
+def test_save_rejects_unknown_format_before_writing(tmp_path):
+    p = tmp_path / "kept.csv"
+    p.write_text("kept\n")
+    with pytest.raises(ValueError, match="unknown format 'csv'"):
+        save(make_dataset(np.random.default_rng(0), n=4, d=1), p, format="csv")
+    assert p.read_text() == "kept\n"
+
+
 def test_dataset_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     ds = make_dataset(rng, n=10, d=5, classes=3)
@@ -261,6 +287,12 @@ def test_knn_same_class_matches_bruteforce():
 
 def test_all_same_class_matches_bruteforce():
     _assert_csr_matches_bruteforce("all_same_class")
+
+
+def test_unknown_mode_rejected():
+    ds = make_dataset(np.random.default_rng(0), n=6, d=1)
+    with pytest.raises(ValueError, match="unknown mode 'knn'"):
+        build_neighbor_sets(ds, mode="knn")
 
 
 def test_singleton_class_rejected():

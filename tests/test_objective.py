@@ -41,6 +41,16 @@ def test_softplus_loss_matches_limits():
     assert np.isfinite(loss.value(1e6))
 
 
+@pytest.mark.parametrize("loss, field", [(HingeLoss, "margin"),
+                                         (SoftplusLoss, "margin"),
+                                         (SoftplusLoss, "sharpness")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_losses_reject_non_finite_parameters(loss, field, value):
+    # caught at construction, not blamed on the initial iterate by train
+    with pytest.raises(ValueError, match=field + " must be finite"):
+        loss(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # neighbor weights (the per-sample oracle in helpers)
 
@@ -474,6 +484,15 @@ def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
     # all_same_class lists every pair from both ends, on either side
     n_listed = nbrs.sim_nbr.size + nbrs.dis_nbr.size
     assert sum(rows) == len(_unordered_pairs(nbrs)) == n_listed // 2
+
+
+def test_evaluator_rejects_neighbor_sets_of_another_size():
+    rng = np.random.default_rng(8)
+    data = make_dataset(rng, n=10, d=2)
+    nbrs = build_neighbor_sets(make_dataset(rng, n=12, d=2))
+    with pytest.raises(ValueError, match="neighbor sets cover 12 samples, "
+                                         "dataset has 10"):
+        PairEvaluator(data, nbrs, HyperParams(alpha=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,42 @@ def test_divergence_raises_with_diagnostics():
     train(ds, ns, hp)
 
 
+class _TurningLoss(IdentityLoss):
+    """IdentityLoss whose value or derivative turns NaN from call n on."""
+
+    def __init__(self, method, n):
+        self.method, self.n, self.calls = method, n, 0
+
+    def _out(self, name, out):
+        if name == self.method:
+            self.calls += 1
+            if self.calls >= self.n:
+                return np.full_like(out, np.nan)
+        return out
+
+    def value(self, x):
+        return self._out("value", super().value(x))
+
+    def derivative(self, x):
+        return self._out("derivative", super().derivative(x))
+
+
+@pytest.mark.parametrize("method, n, message, iteration", [
+    ("value", 3, "objective non-finite at iteration 2", 2),
+    ("derivative", 2, "gradient non-finite at iteration 2", 2)])
+def test_divergence_mid_loop_names_the_iteration(method, n, message, iteration):
+    # value is called once per iterate scored (the initial one first) and
+    # derivative once per gradient; iteration 1 is accepted on this instance
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ds = Dataset(X, [1, 1, 2, 2])
+    ns = build_neighbor_sets(ds)
+    hp = HyperParams(alpha=1.0, lam=0.1, max_iters=5, loss=_TurningLoss(method, n))
+    with pytest.raises(DivergenceError, match=message) as err:
+        train(ds, ns, hp)
+    assert err.value.iteration == iteration
+    assert isinstance(err.value.metric, MetricMatrix)
+
+
 def test_callback_receives_every_iteration():
     rng = np.random.default_rng(5)
     data, nbrs = make_instance(rng, n=12, d=2, classes=2)
@@ -224,3 +260,9 @@ def test_raw_array_init_is_a_type_error():
     ds, ns = _separated_pair_classes()
     with pytest.raises(TypeError, match="init must be a MetricMatrix"):
         train(ds, ns, HyperParams(alpha=1.0), init=np.eye(1))
+
+
+def test_init_of_another_dimension_rejected():
+    ds, ns = _separated_pair_classes()
+    with pytest.raises(ValueError, match="init metric is 2x2 but data has 1 features"):
+        train(ds, ns, HyperParams(alpha=1.0), init=MetricMatrix.identity(2))
