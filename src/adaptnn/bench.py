@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import accuracy_by_k
 from .core import Dataset, HyperParams, MetricMatrix, _check_count
-from .data import (_check_format, _data_lines, apply_zscore,
+from .data import (_check_format, _read_lines, apply_zscore,
                    build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load)
 from .objective import HingeLoss, nca_objective, pnca_objective
 from .optimizer import default_init, train
@@ -301,15 +301,19 @@ def emit_report(records, path) -> None:
 
 
 def parse_report(path) -> list:
+    """The records of an emitted report, skipping blank and '#' lines; a line
+    that is not a record raises ValueError naming the file and the line."""
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            fields = json.loads(line)
+
+    def read(lineno, line):
+        fields = json.loads(line)
+        try:
             fields["acc_by_k"] = {int(k): v for k, v in fields["acc_by_k"].items()}
             records.append(AccuracyRecord(**fields))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError("not a report record: %s" % exc) from None
+
+    _read_lines(path, read)
     return records
 
 
@@ -317,34 +321,38 @@ def parse_report(path) -> list:
 # Config files
 
 
-def _entries(path, form: str):
-    """(line number, key, value) for each 'key = value' line of path, with
+def _entries(path, form: str, read) -> dict:
+    """{key: read(key, value)} over the 'key = value' lines of path, with
     blank and '#' lines skipped. A line without '=' raises ValueError naming
     form, the line's expected shape; so does a key given twice."""
-    first = {}
-    for lineno, line in _data_lines(path):
+    out, first = {}, {}
+
+    def entry(lineno, line):
         key, eq, value = line.partition("=")
         if not eq:
-            raise ValueError("%s:%d: %s, got %r" % (path, lineno, form, line))
+            raise ValueError("%s, got %r" % (form, line))
         key = key.strip()
         if key in first:
-            raise ValueError("%s:%d: repeated key %r (first on line %d)"
-                             % (path, lineno, key, first[key]))
+            raise ValueError("repeated key %r (first on line %d)" % (key, first[key]))
         first[key] = lineno
-        yield lineno, key, value.strip()
+        out[key] = read(key, value.strip())
+
+    _read_lines(path, entry)
+    return out
 
 
 def load_registry(path) -> dict:
     """name -> (absolute path, format), one 'name = relpath format' per line."""
     base = Path(path).parent
     form = "registry line needs 'name = path format'"
-    out = {}
-    for lineno, name, rest in _entries(path, form):
+
+    def read(name, rest):
         parts = rest.split()
         if len(parts) != 2:
-            raise ValueError("%s:%d: %s, got %r" % (path, lineno, form, rest))
-        out[name] = (str(base / parts[0]), parts[1])
-    return out
+            raise ValueError("%s, got %r" % (form, rest))
+        return str(base / parts[0]), parts[1]
+
+    return _entries(path, form, read)
 
 
 def _grid(conv):
@@ -360,32 +368,39 @@ _READERS = {"dataset": str, "dataset_path": str, "dataset_format": str,
             "max_iters": int, "eta0": float}
 
 
+def _read_value(key: str, value: str):
+    if key not in _READERS:
+        raise ValueError("unknown config key %r" % key)
+    try:
+        return _READERS[key](value)
+    except ValueError as exc:
+        raise ValueError("cannot read %s = %r: %s" % (key, value, exc)) from None
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a 'key = value' config. The dataset is found through either
     dataset_path (with dataset_format, default delimited) or a registry, not
-    both. An unknown key, or a value that its key's reader rejects, raises
-    ValueError naming the file, the line and the key."""
-    kwargs = {}
-    for lineno, key, value in _entries(path, "expected 'key = value'"):
-        if key not in _READERS:
-            raise ValueError("%s:%d: unknown config key %r" % (path, lineno, key))
-        try:
-            kwargs[key] = _READERS[key](value)
-        except ValueError as exc:
-            raise ValueError("%s:%d: cannot read %s = %r: %s"
-                             % (path, lineno, key, value, exc)) from None
+    both. Every ValueError names the config's or the registry's file, and
+    the line and key of an unknown key or of a value its reader rejects."""
+    def fault(reason):
+        return ValueError("%s: %s" % (path, reason))
+
+    kwargs = _entries(path, "expected 'key = value'", _read_value)
     if "dataset" not in kwargs:
-        raise ValueError("config must name a dataset")
+        raise fault("config must name a dataset")
     where = {key: kwargs.pop(key) for key in ("dataset_path", "dataset_format",
                                                "registry") if key in kwargs}
     if "registry" in where and len(where) == 1:
         registry = load_registry(Path(path).parent / where["registry"])
         if kwargs["dataset"] not in registry:
-            raise ValueError("dataset %r not in registry" % kwargs["dataset"])
+            raise fault("dataset %r not in registry" % kwargs["dataset"])
         kwargs["path"], kwargs["format"] = registry[kwargs["dataset"]]
     elif "dataset_path" in where and "registry" not in where:
         kwargs["path"] = str(Path(path).parent / where["dataset_path"])
         kwargs["format"] = where.get("dataset_format", "delimited")
     else:
-        raise ValueError("config needs either dataset_path or registry")
-    return ExperimentConfig(**kwargs)
+        raise fault("config needs either dataset_path or registry")
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise fault(exc) from None

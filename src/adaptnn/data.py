@@ -6,11 +6,13 @@ File grammars
 delimited:  one sample per line, fields split on a configurable delimiter
             (default comma), label in a configurable column (default last),
             '#'-prefixed lines and blank lines ignored.
-sparse:     "label idx:val idx:val ..." with 1-based indices, densified to the
-            maximum index seen in the file; missing entries are 0.
+sparse:     "label idx:val idx:val ..." with 1-based indices, each at most
+            once per line, densified to the maximum index seen in the file;
+            missing entries are 0.
 
 Label tokens of either format are remapped to contiguous integers 1..C in
-first-seen order.
+first-seen order. A malformed line raises ValueError naming the file and
+the line.
 """
 
 from __future__ import annotations
@@ -30,101 +32,83 @@ _FORMATS = ("delimited", "sparse_index_value")  # the two grammars above
 # Loading and serializing
 
 
-def _remap_labels(tokens):
-    seen = {}
-    out = []
-    for t in tokens:
-        if t not in seen:
-            seen[t] = len(seen) + 1
-        out.append(seen[t])
-    return np.array(out, dtype=int), seen
-
-
 def _check_format(format: str) -> None:
     if format not in _FORMATS:
         raise ValueError("unknown format %r; the formats are %s"
                          % (format, ", ".join(_FORMATS)))
 
 
-def _data_lines(path):
+def _read_lines(path, read) -> None:
+    """Call read(lineno, line) on each stripped line of path that is neither
+    blank nor a '#' comment. A ValueError that read raises is raised again
+    as '<path>:<lineno>: <reason>'."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            yield lineno, line
+            try:
+                read(lineno, line)
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
 
 
 def load(path, format: str = "delimited", delimiter: str = ",",
          label_column: int = -1) -> Dataset:
     """Parse a dataset file; see the module docstring for the two grammars."""
     _check_format(format)
-    if format == "delimited":
-        return _load_delimited(path, delimiter, label_column)
-    return _load_sparse(path)
+    tokens, rows = [], []  # a sparse row is a dict {1-based index: value}
+    width = col = None
 
-
-def _load_delimited(path, delimiter, label_column) -> Dataset:
-    rows, tokens = [], []
-    width = None
-    for lineno, line in _data_lines(path):
-        fields = [f.strip() for f in line.split(delimiter)]
-        if width is None:
+    def delimited(lineno, line):
+        nonlocal width, col
+        fields = line.split(delimiter)
+        if width is None:  # the first line fixes the width and label column
             width = len(fields)
             if width < 2:
-                raise ValueError("%s:%d: need at least one feature and a label"
-                                 % (path, lineno))
+                raise ValueError("need at least one feature and a label")
+            col = label_column if label_column >= 0 else width + label_column
+            if not 0 <= col < width:
+                raise ValueError("label column %d out of range for %d fields"
+                                 % (label_column, width))
         elif len(fields) != width:
-            raise ValueError("%s:%d: expected %d fields, got %d"
-                             % (path, lineno, width, len(fields)))
-        col = label_column if label_column >= 0 else width + label_column
-        if not 0 <= col < width:
-            raise ValueError("label column %d out of range for %d fields"
-                             % (label_column, width))
-        tokens.append(fields[col])
-        feats = fields[:col] + fields[col + 1:]
+            raise ValueError("expected %d fields, got %d" % (width, len(fields)))
+        tokens.append(fields.pop(col).strip())
         try:
-            rows.append([float(v) for v in feats])
+            rows.append([float(v) for v in fields])
         except ValueError:
-            raise ValueError("%s:%d: unparseable feature value" % (path, lineno))
-    if not rows:
-        raise ValueError("%s: no data lines" % path)
-    labels, _ = _remap_labels(tokens)
-    return Dataset(np.array(rows, dtype=float), labels)
+            raise ValueError("unparseable feature value") from None
 
-
-def _load_sparse(path) -> Dataset:
-    entries, tokens = [], []
-    max_idx = 0
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        tokens.append(parts[0])
-        pairs = []
-        for item in parts[1:]:
+    def sparse(lineno, line):
+        label, *items = line.split()
+        row = {}
+        for item in items:
             try:
                 idx_s, val_s = item.split(":", 1)
                 idx, val = int(idx_s), float(val_s)
             except ValueError:
-                raise ValueError("%s:%d: bad index:value pair %r"
-                                 % (path, lineno, item))
+                raise ValueError("bad index:value pair %r" % item) from None
             if idx < 1:
-                raise ValueError("%s:%d: indices are 1-based, got %d"
-                                 % (path, lineno, idx))
-            pairs.append((idx, val))
-            max_idx = max(max_idx, idx)
-        entries.append(pairs)
-    if not entries:
+                raise ValueError("indices are 1-based, got %d" % idx)
+            if idx in row:
+                raise ValueError("repeated index %d" % idx)
+            row[idx] = val
+        tokens.append(label)
+        rows.append(row)
+
+    _read_lines(path, delimited if format == "delimited" else sparse)
+    if not rows:
         raise ValueError("%s: no data lines" % path)
-    if max_idx == 0:
-        raise ValueError("%s: no feature entries in file" % path)
-    X = np.zeros((len(entries), max_idx))
-    for i, pairs in enumerate(entries):
-        for idx, val in pairs:
-            X[i, idx - 1] = val
-    labels, _ = _remap_labels(tokens)
-    return Dataset(X, labels)
+    if format == "delimited":
+        X = np.array(rows, dtype=float)
+    else:
+        X = np.zeros((len(rows), max(max(row, default=0) for row in rows)))
+        if X.shape[1] == 0:
+            raise ValueError("%s: no feature entries in file" % path)
+        for i, row in enumerate(rows):
+            X[i, [idx - 1 for idx in row]] = list(row.values())
+    ids = {}  # label token -> 1..C in first-seen order
+    return Dataset(X, [ids.setdefault(t, len(ids) + 1) for t in tokens])
 
 
 def save(dataset: Dataset, path, format: str = "delimited",

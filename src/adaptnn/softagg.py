@@ -105,11 +105,13 @@ def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
     Bracket by doubling gamma from 1 until b(gamma) - target changes sign,
     then bisect. Residual target: |b(gamma*) - target| <= 1e-8 * (1 + |target|).
 
-    Sentinels:
-      * 0.0    -- the target equals the plain mean (K = n, or constant values),
-                  attained only in the gamma -> 0 limit.
-      * +-inf  -- no finite bracket after 200 doublings (K = 1 with the target
-                  equal to the exact min/max, where gamma* diverges).
+    Sentinel: 0.0 when the target equals the plain mean (K = n, or constant
+    values), attained only in the gamma -> 0 limit.
+
+    Every other solve returns a finite gamma that meets the residual target,
+    K = 1 included: b(gamma) exceeds the minimum by at most ln(n)/gamma, so
+    the doubling meets the residual by gamma = ln(n) * 1e8 < 2^33. The
+    MAX_DOUBLINGS cap and its inf return are a guard no input reaches.
     """
     a = _check_values(values)
     if mode == "largest":

@@ -112,6 +112,31 @@ def test_cv_rejects_class_too_small_for_folds(tmp_path, monkeypatch):
     assert fits == []
 
 
+def test_cv_single_cell_skips_the_fold_check(tmp_path, monkeypatch):
+    # the data of the test above: with one (alpha, gamma) cell there is
+    # nothing to select, so no fold is trained and the fold check never runs
+    rng = np.random.default_rng(13)
+    labels = np.repeat([1, 2, 3], [20, 20, 3])
+    p = tmp_path / "small.csv"
+    save(Dataset(rng.normal(size=(labels.size, 3)) + labels[:, None], labels), p)
+    fits = []
+    train = bench.train
+
+    def counted_train(*args, **kwargs):
+        fits.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "train", counted_train)
+    cfg = ExperimentConfig(dataset="small", path=str(p), method="ann_plus",
+                           alpha_grid=(2.0,), gamma_grid=(0.5,), k_grid=(1, 3),
+                           repetitions=2, max_iters=3)
+    record = run_experiment(cfg)[0]
+    assert (record.alpha, record.gamma) == (2.0, 0.5)
+    assert len(fits) == cfg.repetitions
+    with pytest.raises(ValueError, match=r"class 3 is left with 1 training sample"):
+        run_experiment(dataclasses.replace(cfg, alpha_grid=(2.0, 4.0)))
+
+
 def test_euclidean_baseline_skips_training(tmp_path):
     rng = np.random.default_rng(4)
     _, path = _write_synthetic(tmp_path, rng)
@@ -220,6 +245,27 @@ def test_emit_report_empty(tmp_path):
     out = tmp_path / "empty.jsonl"
     emit_report([], out)
     assert parse_report(out) == []
+
+
+def test_parse_report_skips_blank_and_comment_lines(tmp_path):
+    out = tmp_path / "r.jsonl"
+    emit_report([_record(), _record(alpha=1.0)], out)
+    first, second = out.read_text().splitlines(keepends=True)
+    out.write_text("# two records\n\n" + first + "\n" + second)
+    assert parse_report(out) == [_record(), _record(alpha=1.0)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"method" "ann_plus"}', "r.jsonl:4: Expecting ':' delimiter"),
+    ('{"method": "ann_plus"}', "r.jsonl:4: not a report record: 'acc_by_k'"),
+    ('[1, 2]', "r.jsonl:4: not a report record"),
+    ('{"acc_by_k": {"x": 0.5}}', "r.jsonl:4: invalid literal for int")])
+def test_parse_report_names_a_malformed_line(tmp_path, bad, message):
+    out = tmp_path / "r.jsonl"
+    emit_report([_record()], out)
+    out.write_text("# report\n" + out.read_text() + "\n" + bad + "\n")
+    with pytest.raises(ValueError, match=message):
+        parse_report(out)
 
 
 def _record(**changes):
@@ -393,6 +439,32 @@ def test_repeated_registry_name_is_an_error(tmp_path):
         with pytest.raises(ValueError, match="registry.cfg:1: registry line needs "
                                              "'name = path format'"):
             load_registry(reg)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dataset_path = toy.csv\n", "config must name a dataset"),
+    ("dataset = other\nregistry = registry.cfg\n", "dataset 'other' not in registry"),
+    ("dataset = toy\n", "config needs either dataset_path or registry"),
+    ("dataset = toy\ndataset_path = toy.csv\nseed = -1\n",
+     "seed must be an integer >= 0, got -1"),
+    ("dataset = toy\ndataset_path = toy.csv\nalpha_grid = -1\n",
+     "ann_plus requires a positive alpha grid")])
+def test_config_errors_after_the_line_pass_name_the_config(tmp_path, text, message):
+    (tmp_path / "registry.cfg").write_text("toy = toy.csv delimited\n")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(text)
+    with pytest.raises(ValueError, match=r"exp\.cfg: " + message):
+        load_config(cfg_file)
+
+
+def test_registry_error_in_a_config_names_the_registry(tmp_path):
+    (tmp_path / "registry.cfg").write_text("# datasets\ntoy = toy.csv\n")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\nregistry = registry.cfg\n")
+    with pytest.raises(ValueError, match=r"registry\.cfg:2: registry line needs "
+                                         r"'name = path format', got 'toy.csv'") as err:
+        load_config(cfg_file)
+    assert "exp.cfg" not in str(err.value)
 
 
 def test_config_eta0_must_be_finite(tmp_path):

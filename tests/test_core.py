@@ -53,6 +53,11 @@ def test_too_few_samples_rejected():
         Dataset([[1.0]], [1])
 
 
+def test_no_features_rejected():
+    with pytest.raises(ValueError, match="d >= 1 required, got d=0"):
+        Dataset(np.empty((3, 0)), [1, 2, 1])
+
+
 @pytest.mark.parametrize("features, labels, message", [
     (np.zeros(4), [1, 1, 2, 2], "features must be a 2-D array, got ndim=1"),
     (np.zeros((2, 2, 2)), [1, 2], "features must be a 2-D array, got ndim=3"),

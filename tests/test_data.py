@@ -75,6 +75,24 @@ def test_load_errors_name_the_fault(tmp_path, text, kwargs, message):
         load(p, **kwargs)
 
 
+@pytest.mark.parametrize("label_column", [3, -4])
+def test_label_column_checked_once_at_the_first_line(tmp_path, label_column):
+    # the first data line fixes the width, so the column is checked there
+    p = tmp_path / "lc.csv"
+    p.write_text("# header\n\n1.0,2.0,1\n3.0,4.0,2\n")
+    with pytest.raises(ValueError, match=r"lc.csv:3: label column %d out of range "
+                                         r"for 3 fields" % label_column):
+        load(p, label_column=label_column)
+
+
+def test_load_sparse_rejects_repeated_index(tmp_path):
+    # a repeated index is an error, not a silent overwrite
+    p = tmp_path / "dup.txt"
+    p.write_text("1 1:0.5 2:1.0\n2 1:0.5 3:1.0 1:0.7\n")
+    with pytest.raises(ValueError, match="dup.txt:2: repeated index 1"):
+        load(p, format="sparse_index_value")
+
+
 def test_save_rejects_unknown_format_before_writing(tmp_path):
     p = tmp_path / "kept.csv"
     p.write_text("kept\n")
