@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import accuracy_by_k
+from .classifier import _predictions, accuracy_by_k
 from .core import Dataset, HyperParams, MetricMatrix, _check_count
 from .data import (_check_format, _read_lines, apply_zscore,
                    build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load)
-from .objective import HingeLoss, nca_objective, pnca_objective
+from .objective import nca_objective, pnca_objective
 from .optimizer import default_init, train
 
 METHODS = ("ann_plus", "ann_minus", "pnca_report", "euclidean_baseline")
@@ -60,14 +60,15 @@ class ExperimentConfig:
         for name in ("alpha_grid", "gamma_grid", "k_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError("%s must be non-empty" % name)
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError("%s values must be finite" % name)
+        if not np.all(np.isfinite(self.k_grid)):
+            raise ValueError("k_grid values must be finite")
         if self.method == "ann_plus" and any(a <= 0 for a in self.alpha_grid):
             raise ValueError("ann_plus requires a positive alpha grid")
         if self.method == "ann_minus" and any(a >= 0 for a in self.alpha_grid):
             raise ValueError("ann_minus requires a negative alpha grid")
-        if any(g <= 0 for g in self.gamma_grid):
-            raise ValueError("gamma grid must be positive")
+        for alpha in self.alpha_grid:  # each cell's HyperParams; lam is set per fit
+            for gamma in self.gamma_grid:
+                HyperParams(alpha, gamma, max_iters=self.max_iters, eta0=self.eta0)
         for k in self.k_grid:
             _check_count(k, "k_grid value")
         _check_count(self.repetitions, "repetitions")
@@ -76,9 +77,6 @@ class ExperimentConfig:
         _check_count(self.cv_folds, "cv_folds")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
-        if not (np.isfinite(self.eta0) and self.eta0 > 0):
-            raise ValueError("eta0 must be finite and > 0, got %g" % self.eta0)
-        _check_count(self.max_iters, "max_iters")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be an integer >= 0, got %r" % (self.seed,))
 
@@ -150,7 +148,7 @@ def _neighbor_sets(ds: Dataset, method: str):
 def _train_metric(train_ds: Dataset, nbrs, alpha: float, gamma: float,
                   cfg: ExperimentConfig) -> MetricMatrix:
     hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / train_ds.n_samples ** 2,
-                     loss=HingeLoss(1.0), max_iters=cfg.max_iters, eta0=cfg.eta0)
+                     max_iters=cfg.max_iters, eta0=cfg.eta0)
     return train(train_ds, nbrs, hp, default_init(train_ds)).final_metric
 
 
@@ -164,6 +162,11 @@ def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
                    key=lambda t: (abs(t[0]), t[1]))
     if len(cells) == 1:
         return cells[0]
+    empty = np.flatnonzero(np.bincount(folds, minlength=cfg.cv_folds) == 0)
+    if empty.size:
+        raise ValueError("fold %d holds no samples: cv_folds=%d is more than the "
+                         "%d training samples of the largest class"
+                         % (empty[0], cfg.cv_folds, folds.max() + 1))
     # a class with fewer than 2 samples in a fold's training part would drop
     # out of that fold's neighbor sets
     for c in range(1, train_ds.n_classes + 1):
@@ -177,11 +180,13 @@ def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
     fold_scores = [[] for _ in cells]
     for f in range(cfg.cv_folds):
         tr = _subset(train_ds, folds != f)
-        va = _subset(train_ds, folds == f)
+        # the held-out rows are only scored, so no Dataset rules apply to them
+        held_x, held_y = train_ds.features[folds == f], train_ds.labels[folds == f]
         nbrs = _neighbor_sets(tr, cfg.method)
         for scores, (alpha, gamma) in zip(fold_scores, cells):
             metric = _train_metric(tr, nbrs, alpha, gamma, cfg)
-            scores.append(max(accuracy_by_k(tr, metric, va, cfg.k_grid).values()))
+            preds = _predictions(tr, metric, held_x, cfg.k_grid)
+            scores.append(max(np.mean(preds == held_y, axis=1)))
     return cells[int(np.argmax([np.mean(scores) for scores in fold_scores]))]
 
 

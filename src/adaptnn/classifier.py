@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, MetricMatrix, _check_count, _require_metric
-from .metric import _table_blocks, pairwise_sq
-from .softagg import topk_avg_smallest
+from .metric import _table_blocks
 
 
 @dataclass(frozen=True)
@@ -53,31 +52,38 @@ def _queries(train: Dataset, x, one: bool = False) -> np.ndarray:
     return rows
 
 
-def _predictions(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
-                 ks) -> np.ndarray:
-    """(len(ks), n_queries) predicted class ids, one row per K in ks.
+def _scores(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
+            groups, ks) -> np.ndarray:
+    """(len(ks), n_queries, len(groups)): each query's average of its K smallest
+    distances to each group (index array) of train's rows, K capped at its size.
 
     The query-to-train distance table is scored row block by row block as it
-    is finished, while each block is still in cache. In a block, each class's
+    is finished, while each block is still in cache. In a block, each group's
     columns are gathered once. Every K but the last partitions a
     layout-preserving copy of them, as np.partition does; the last partitions
     the gathered block itself, which nothing reads afterwards. So every K
     averages the same values in the same order as np.partition of freshly
     gathered columns would.
     """
-    scores = np.empty((len(ks), len(queries), train.n_classes))
-    columns = [train.class_indices(c) for c in range(1, train.n_classes + 1)]
+    scores = np.empty((len(ks), len(queries), len(groups)))
     _, blocks = _table_blocks(metric, queries, train.features)
     for lo, block in blocks:
         rows = slice(lo, lo + len(block))
-        for c, idx in enumerate(columns):
+        for g, idx in enumerate(groups):
             gathered = block[:, idx]
             for i, k in enumerate(ks):
                 kc = min(k, gathered.shape[1])
                 part = gathered if i == len(ks) - 1 else gathered.copy(order="K")
                 part.partition(kc - 1, axis=1)
-                scores[i, rows, c] = part[:, :kc].mean(axis=1)
-    return np.argmin(scores, axis=2) + 1
+                scores[i, rows, g] = part[:, :kc].mean(axis=1)
+    return scores
+
+
+def _predictions(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
+                 ks) -> np.ndarray:
+    """(len(ks), n_queries) predicted class ids, one row per K in ks."""
+    classes = [train.class_indices(c) for c in range(1, train.n_classes + 1)]
+    return np.argmin(_scores(train, metric, queries, classes, ks), axis=2) + 1
 
 
 def decision_score(fit: FitKnn, x, c: int) -> float:
@@ -85,14 +91,10 @@ def decision_score(fit: FitKnn, x, c: int) -> float:
     the complement; negative means x is assigned to class c."""
     if c not in range(1, fit.train.n_classes + 1):
         raise ValueError("unknown class %s" % (c,))
-    dists = pairwise_sq(fit.metric, _queries(fit.train, x, one=True),
-                        fit.train.features)[0]
     in_c = fit.train.labels == c
-    d_in = dists[in_c]
-    d_out = dists[~in_c]
-    k_in = min(fit.k, d_in.size)
-    k_out = min(fit.k, d_out.size)
-    return topk_avg_smallest(d_in, k_in) - topk_avg_smallest(d_out, k_out)
+    own, rest = _scores(fit.train, fit.metric, _queries(fit.train, x, one=True),
+                        (np.flatnonzero(in_c), np.flatnonzero(~in_c)), (fit.k,))[0, 0]
+    return float(own - rest)
 
 
 def predict(fit: FitKnn, x) -> int:

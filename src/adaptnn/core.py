@@ -262,7 +262,7 @@ class HyperParams:
     eta0: float = 1e-3
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "lam", "eta0"):
+        for name in ("alpha", "gamma", "lam"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError("%s must be finite, got %g" % (name, value))
@@ -273,8 +273,8 @@ class HyperParams:
         if self.lam < 0:
             raise ValueError("lam must be >= 0, got %g" % self.lam)
         _check_count(self.max_iters, "max_iters")
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be > 0, got %g" % self.eta0)
+        if not (np.isfinite(self.eta0) and self.eta0 > 0):
+            raise ValueError("eta0 must be finite and > 0, got %g" % self.eta0)
         if self.loss is None:
             from .objective import HingeLoss
             object.__setattr__(self, "loss", HingeLoss(1.0))

@@ -40,17 +40,18 @@ def _check_format(format: str) -> None:
 
 def _read_lines(path, read) -> None:
     """Call read(lineno, line) on each stripped line of path that is neither
-    blank nor a '#' comment. A ValueError that read raises is raised again
-    as '<path>:<lineno>: <reason>'."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
+    blank nor a '#' comment. Lines end at '\n', '\r\n' or '\r', as in text
+    mode. A ValueError that read raises, or a line that is not UTF-8, is
+    raised as '<path>:<lineno>: <reason>'."""
+    with open(path, "rb") as f:
+        raw_lines = f.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line and not line.startswith("#"):
                 read(lineno, line)
-            except ValueError as exc:
-                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+        except ValueError as exc:
+            raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
 
 
 def load(path, format: str = "delimited", delimiter: str = ",",

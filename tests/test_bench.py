@@ -112,6 +112,35 @@ def test_cv_rejects_class_too_small_for_folds(tmp_path, monkeypatch):
     assert fits == []
 
 
+def _cv_config(tmp_path, sizes, seed):
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    rng = np.random.default_rng(seed)
+    p = tmp_path / "cv.csv"
+    save(Dataset(rng.normal(size=(labels.size, 3)) + labels[:, None], labels), p)
+    return ExperimentConfig(dataset="cv", path=str(p), method="ann_plus",
+                            alpha_grid=(1.0, 2.0), k_grid=(1, 3), repetitions=1,
+                            cv_folds=5, max_iters=3)
+
+
+@pytest.mark.parametrize("sizes", [(6, 30, 30), (30, 6, 30), (30, 30, 6)])
+def test_cv_scores_held_out_folds_that_miss_a_class(tmp_path, sizes):
+    # the small class has 4 training samples, so one of the 5 held-out folds
+    # holds none of it; that fold is still scored, whichever class it misses
+    record = run_experiment(_cv_config(tmp_path, sizes, seed=14))[0]
+    assert record.alpha in (1.0, 2.0)
+    assert 0.0 <= record.accuracies[0] <= 1.0
+
+
+def test_cv_empty_held_out_fold_is_rejected_before_any_fit(tmp_path, monkeypatch):
+    # 4 training samples per class deal out over folds 0-3, leaving fold 4 empty
+    fits = []
+    monkeypatch.setattr(bench, "train", lambda *a, **k: fits.append(a))
+    with pytest.raises(ValueError, match=r"fold 4 holds no samples: cv_folds=5 is "
+                                         r"more than the 4 training samples"):
+        run_experiment(_cv_config(tmp_path, (6, 6), seed=15))
+    assert fits == []
+
+
 def test_cv_single_cell_skips_the_fold_check(tmp_path, monkeypatch):
     # the data of the test above: with one (alpha, gamma) cell there is
     # nothing to select, so no fold is trained and the fold check never runs
@@ -523,6 +552,33 @@ def test_config_file_seed_and_format_checked_at_load(tmp_path, line, message):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("dataset = toy\ndataset_path = absent.csv\n%s\n" % line)
     with pytest.raises(ValueError, match=message):
+        load_config(cfg_file)
+
+
+@pytest.mark.parametrize("method", bench.METHODS)
+def test_config_rejects_alpha_zero_under_every_method(tmp_path, method):
+    # every (alpha, gamma) cell must make valid HyperParams, so alpha = 0 is
+    # caught when the config is built, before the dataset (absent here) is read
+    with pytest.raises(ValueError, match="alpha"):
+        ExperimentConfig(dataset="x", path="p", method=method, alpha_grid=(0.0, 1.0))
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\ndataset_path = absent.csv\n"
+                        "method = %s\nalpha_grid = 0 1\n" % method)
+    with pytest.raises(ValueError, match=r"exp\.cfg: .*alpha"):
+        load_config(cfg_file)
+
+
+@pytest.mark.parametrize("gamma_grid", [(0.0,), (1.0, -2.0)])
+def test_config_rejects_gamma_grid_through_hyperparams(gamma_grid):
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        ExperimentConfig(dataset="x", path="p", method="euclidean_baseline",
+                         gamma_grid=gamma_grid)
+
+
+def test_config_file_with_bytes_that_are_not_utf8_names_the_line(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_bytes(b"dataset = toy\n# caf\xe9\ndataset_path = toy.csv\n")
+    with pytest.raises(ValueError, match=r"exp\.cfg:2: 'utf-8' codec can't decode"):
         load_config(cfg_file)
 
 

@@ -118,6 +118,21 @@ def test_decision_score_consistent_with_predict():
             assert negatives[0] == c_hat
 
 
+@pytest.mark.parametrize("k", [1, 3, 7, 40])
+def test_two_class_decision_score_is_predict(k):
+    # with two classes the complement of class 1 is class 2, so the score is
+    # the difference of the two class scores that predict compares: its sign
+    # gives the prediction exactly, ties (toward class 1) and K above a
+    # class's size included
+    rng = np.random.default_rng(21)
+    ds = make_dataset(rng, n=14, d=2, classes=2)
+    fit = FitKnn(train=ds, metric=MetricMatrix(random_psd(rng, 2)), k=k)
+    queries = np.vstack([rng.normal(size=(40, 2)), ds.features, [[0.0, 0.0]]])
+    for q, pred in zip(queries, predict_batch(fit, queries)):
+        assert (decision_score(fit, q, 1) <= 0) == (pred == 1)
+        assert (decision_score(fit, q, 2) < 0) == (pred == 2)
+
+
 def test_accuracy_on_train_is_perfect_with_k1():
     ds = make_dataset(np.random.default_rng(4), n=15, d=3, classes=2)
     fit = FitKnn(train=ds, metric=MetricMatrix.identity(3), k=1)

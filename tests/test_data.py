@@ -85,6 +85,20 @@ def test_label_column_checked_once_at_the_first_line(tmp_path, label_column):
         load(p, label_column=label_column)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, newline):
+    # the line with the bad byte is named, not the last line read
+    p = tmp_path / "bad.csv"
+    p.write_bytes(newline.join(["1.0,a", "2.0,b", "3.\xff,a", "4.0,b", ""])
+                  .encode("latin-1"))
+    with pytest.raises(ValueError, match=r"bad\.csv:3: 'utf-8' codec can't decode "
+                                         r"byte 0xff in position 2"):
+        load(p)
+    p.write_bytes(newline.join(["1.0,a", "2.0,b", "3.0,\u00e9", "4.0,b", ""])
+                  .encode("utf-8"))
+    assert load(p).labels.tolist() == [1, 2, 3, 2]
+
+
 def test_load_sparse_rejects_repeated_index(tmp_path):
     # a repeated index is an error, not a silent overwrite
     p = tmp_path / "dup.txt"

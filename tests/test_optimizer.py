@@ -256,6 +256,19 @@ def test_stop_reason(eta0, max_iters, reason, iterations):
     assert report.iterations_run == iterations
 
 
+@pytest.mark.parametrize("eta0, reason", [(1.0, "rejection_cap"), (1e-10, "eta_floor")])
+def test_callback_sees_the_iteration_that_stops_the_loop(eta0, reason):
+    # an early stop breaks out after the callback, so the stopping iteration
+    # is reported too, and the calls are the trace after its initial entry
+    ds, ns = _separated_pair_classes()
+    hp = HyperParams(alpha=1.0, lam=0.0, max_iters=10_000, eta0=eta0)
+    seen = []
+    report = train(ds, ns, hp, callback=lambda *entry: seen.append(entry))
+    assert report.stop_reason == reason
+    assert len(seen) == report.iterations_run < hp.max_iters
+    assert seen == list(report.objective_trace[1:])
+
+
 def test_raw_array_init_is_a_type_error():
     ds, ns = _separated_pair_classes()
     with pytest.raises(TypeError, match="init must be a MetricMatrix"):
