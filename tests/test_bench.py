@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -189,6 +190,45 @@ def test_pnca_report_records_objectives(tmp_path):
     assert len(rec.extras["pnca_objective"]) == 2
     assert len(rec.extras["nca_objective"]) == 2
     assert rec.alpha in (0.5, 1.0, 2.0)
+
+
+# Both baselines score the identity metric on the same seed-7 splits, so
+# they share every accuracy; pnca_report adds the per-repetition objectives.
+_IRIS_BASELINE = {
+    "gamma": 1.0, "k": 4,
+    "accuracies": [0.9777777777777777, 0.9777777777777777, 0.9777777777777777,
+                   0.9333333333333333],
+    "mean": 0.9666666666666666, "std": 0.022222222222222202,
+    "acc_by_k": dict(zip(range(1, 47, 3), [
+        0.9388888888888889, 0.9555555555555555, 0.9555555555555555,
+        0.961111111111111, 0.961111111111111, 0.9666666666666666,
+        0.961111111111111, 0.9388888888888889, 0.9111111111111111,
+        0.8999999999999999, 0.8888888888888888, 0.8833333333333333,
+        0.8833333333333333, 0.8833333333333333, 0.8833333333333333,
+        0.8833333333333333])),
+}
+
+
+@pytest.mark.parametrize("name, alpha, extras", [
+    ("iris_euclidean", 1.0, []),
+    ("iris_pnca_report", 0.5, [
+        ("pnca_objective", [103.5274731033288, 103.41711991056553,
+                            103.43298928210332, 103.46468170872879]),
+        ("nca_objective", [85.38863082228923, 84.25555550635912,
+                           85.07979322867297, 84.6000916329172])]),
+])
+def test_baseline_records_are_unchanged(name, alpha, extras):
+    # the records of the two untrained methods at their shipped seed,
+    # reduced to 4 repetitions
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cfg = dataclasses.replace(load_config(root / "configs" / (name + ".cfg")),
+                              repetitions=4)
+    rec = run_experiment(cfg)[0]
+    got = {"gamma": rec.gamma, "k": rec.k, "accuracies": rec.accuracies,
+           "mean": rec.mean, "std": rec.std, "acc_by_k": rec.acc_by_k}
+    assert got == _IRIS_BASELINE
+    assert rec.alpha == alpha
+    assert list(rec.extras.items()) == extras
 
 
 def test_mean_std_recomputable(tmp_path):
