@@ -14,7 +14,10 @@ import json
 import numbers
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +63,6 @@ class ExperimentConfig:
         for name in ("alpha_grid", "gamma_grid", "k_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError("%s must be non-empty" % name)
-        if not np.all(np.isfinite(self.k_grid)):
-            raise ValueError("k_grid values must be finite")
         if self.method == "ann_plus" and any(a <= 0 for a in self.alpha_grid):
             raise ValueError("ann_plus requires a positive alpha grid")
         if self.method == "ann_minus" and any(a >= 0 for a in self.alpha_grid):
@@ -70,6 +71,8 @@ class ExperimentConfig:
             for gamma in self.gamma_grid:
                 HyperParams(alpha, gamma, max_iters=self.max_iters, eta0=self.eta0)
         for k in self.k_grid:
+            if isinstance(k, float) and not np.isfinite(k):
+                raise ValueError("k_grid values must be finite")
             _check_count(k, "k_grid value")
         _check_count(self.repetitions, "repetitions")
         if not 0 < self.split_fraction < 1:
@@ -177,17 +180,17 @@ def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
                              "fold with cv_folds=%d; cross-validation needs >= 2 "
                              "per class in every fold's training part"
                              % (c, fewest, cfg.cv_folds))
-    fold_scores = [[] for _ in cells]
+    scores = np.empty((len(cells), cfg.cv_folds))  # best-K fold accuracies
     for f in range(cfg.cv_folds):
         tr = _subset(train_ds, folds != f)
         # the held-out rows are only scored, so no Dataset rules apply to them
         held_x, held_y = train_ds.features[folds == f], train_ds.labels[folds == f]
         nbrs = _neighbor_sets(tr, cfg.method)
-        for scores, (alpha, gamma) in zip(fold_scores, cells):
+        for c, (alpha, gamma) in enumerate(cells):
             metric = _train_metric(tr, nbrs, alpha, gamma, cfg)
             preds = _predictions(tr, metric, held_x, cfg.k_grid)
-            scores.append(max(np.mean(preds == held_y, axis=1)))
-    return cells[int(np.argmax([np.mean(scores) for scores in fold_scores]))]
+            scores[c, f] = np.mean(preds == held_y, axis=1).max()
+    return cells[int(np.argmax(scores.mean(axis=1)))]
 
 
 def _preprocess(train_ds: Dataset, test_ds: Dataset) -> tuple:
@@ -200,69 +203,63 @@ def _preprocess(train_ds: Dataset, test_ds: Dataset) -> tuple:
     return train_ds, test_ds
 
 
-def run_experiment(cfg: ExperimentConfig) -> list:
-    """Run cfg.repetitions seeded stratified splits and return one
-    AccuracyRecord aggregating the per-repetition best-K accuracies."""
-    full = load(cfg.path, format=cfg.format)
-    t0 = time.perf_counter()
-    rep_acc, rep_alpha, rep_gamma, rep_k = [], [], [], []
-    curve_sums = {int(k): 0.0 for k in cfg.k_grid}
+def _repetition(full: Dataset, cfg: ExperimentConfig, rep: int) -> tuple:
+    """Repetition rep: a seeded stratified split, preprocessing fitted on its
+    training part, the method's metric and the K sweep on its test part.
+    Returns what it chose: ({K: test accuracy}, (alpha, gamma), extras)."""
+    rng = np.random.default_rng([cfg.seed, rep])
+    tr_idx, te_idx = stratified_split(full.labels, cfg.split_fraction, rng)
+    train_ds, test_ds = _preprocess(_subset(full, tr_idx), _subset(full, te_idx))
     extras = {}
-    for rep in range(cfg.repetitions):
-        rng = np.random.default_rng([cfg.seed, rep])
-        tr_idx, te_idx = stratified_split(full.labels, cfg.split_fraction, rng)
-        train_ds, test_ds = _preprocess(_subset(full, tr_idx), _subset(full, te_idx))
-
-        if cfg.method == "euclidean_baseline":
-            alpha, gamma = cfg.alpha_grid[0], cfg.gamma_grid[0]
-            metric = MetricMatrix.identity(train_ds.n_features)
-        elif cfg.method == "pnca_report":
-            metric = MetricMatrix.identity(train_ds.n_features)
+    if cfg.method in ("ann_plus", "ann_minus"):
+        alpha, gamma = _cv_select(train_ds, cfg, rng)
+        metric = _train_metric(train_ds, _neighbor_sets(train_ds, cfg.method),
+                               alpha, gamma, cfg)
+    else:  # the baselines score the identity metric
+        metric = MetricMatrix.identity(train_ds.n_features)
+        alpha, gamma = cfg.alpha_grid[0], cfg.gamma_grid[0]
+        if cfg.method == "pnca_report":
             nbrs = build_neighbor_sets(train_ds, mode="all_same_class")
             vals = {a: pnca_objective(metric, train_ds, nbrs, a)
                     for a in cfg.alpha_grid}
             alpha = max(vals, key=vals.get)
-            gamma = cfg.gamma_grid[0]
-            extras.setdefault("pnca_objective", []).append(vals[alpha])
-            extras.setdefault("nca_objective", []).append(
-                nca_objective(metric, train_ds))
-        else:
-            alpha, gamma = _cv_select(train_ds, cfg, rng)
-            metric = _train_metric(train_ds, _neighbor_sets(train_ds, cfg.method),
-                                   alpha, gamma, cfg)
+            extras = {"pnca_objective": vals[alpha],
+                      "nca_objective": nca_objective(metric, train_ds)}
+    return accuracy_by_k(train_ds, metric, test_ds, cfg.k_grid), (alpha, gamma), extras
 
-        accs = accuracy_by_k(train_ds, metric, test_ds, cfg.k_grid)
-        for k, v in accs.items():
-            curve_sums[k] += v
-        best_k = max(accs, key=lambda k: (accs[k], -k))
-        rep_acc.append(accs[best_k])
-        rep_alpha.append(alpha)
-        rep_gamma.append(gamma)
-        rep_k.append(best_k)
 
-    acc_by_k = {k: v / cfg.repetitions for k, v in curve_sums.items()}
-    record = AccuracyRecord(
+def run_experiment(cfg: ExperimentConfig) -> list:
+    """Run cfg.repetitions seeded stratified splits and return a list that
+    holds one AccuracyRecord: each repetition's best-K test accuracy, the
+    most frequent alpha, gamma and best K, the accuracy-vs-K curve averaged
+    over repetitions, and each extra as a per-repetition list."""
+    full = load(cfg.path, format=cfg.format)
+    t0 = time.perf_counter()
+    curves, cells, extras = zip(*(_repetition(full, cfg, rep)
+                                  for rep in range(cfg.repetitions)))
+    best_k = [max(accs, key=lambda k: (accs[k], -k)) for accs in curves]
+    accuracies = [accs[k] for accs, k in zip(curves, best_k)]
+    alphas, gammas = zip(*cells)
+    return [AccuracyRecord(
         method=cfg.method,
         dataset=cfg.dataset,
-        alpha=_mode(rep_alpha),
-        gamma=_mode(rep_gamma),
-        k=int(_mode(rep_k)),
-        accuracies=[float(a) for a in rep_acc],
-        mean=float(np.mean(rep_acc)),
-        std=float(np.std(rep_acc, ddof=1)) if len(rep_acc) > 1 else 0.0,
+        alpha=_mode(alphas),
+        gamma=_mode(gammas),
+        k=_mode(best_k),
+        accuracies=accuracies,
+        mean=float(np.mean(accuracies)),
+        std=float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0,
         wall_time_seconds=time.perf_counter() - t0,
-        acc_by_k=acc_by_k,
-        extras=extras,
-    )
-    return [record]
+        # a plain left fold: from Python 3.12, sum() compensates its rounding
+        acc_by_k={k: reduce(add, (accs[k] for accs in curves)) / cfg.repetitions
+                  for k in curves[0]},
+        extras={key: [e[key] for e in extras] for key in extras[0]},
+    )]
 
 
 def _mode(values):
     """Most frequent value; earliest-seen wins ties."""
-    seen = {}
-    for v in values:
-        seen[v] = seen.get(v, 0) + 1
-    return max(seen, key=seen.get)
+    return Counter(values).most_common(1)[0][0]
 
 
 # ---------------------------------------------------------------------------

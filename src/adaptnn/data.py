@@ -17,6 +17,7 @@ the line.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +59,8 @@ def load(path, format: str = "delimited", delimiter: str = ",",
          label_column: int = -1) -> Dataset:
     """Parse a dataset file; see the module docstring for the two grammars."""
     _check_format(format)
+    if not isinstance(label_column, numbers.Integral):
+        raise ValueError("label_column must be an integer, got %r" % (label_column,))
     tokens, rows = [], []  # a sparse row is a dict {1-based index: value}
     width = col = None
 
@@ -169,8 +172,7 @@ def fit_pca(data: Dataset, target_dim: int) -> Preprocessor:
     Sign convention: each component's largest-magnitude entry is positive.
     """
     d = data.n_features
-    if target_dim < 1:
-        raise ValueError("target_dim must be >= 1")
+    _check_count(target_dim, "target_dim")
     if d <= target_dim:
         return Preprocessor(means=np.zeros(d), pca_basis=np.eye(d))
     X = data.features

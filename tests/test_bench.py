@@ -572,6 +572,29 @@ def test_config_rejects_fractional_counts():
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(dataset="x", path="p", **kwargs)
 
+@pytest.mark.parametrize("k_grid", [("a",), (None,), (1, "4")])
+def test_config_rejects_a_k_grid_value_that_is_not_a_number(k_grid):
+    with pytest.raises(ValueError, match="k_grid value must be an integer >= 1, "
+                                         "got %r" % (k_grid[-1],)):
+        ExperimentConfig(dataset="x", path="p", k_grid=k_grid)
+
+
+def test_config_file_k_beyond_the_float_range_is_a_count(tmp_path):
+    # int() reads any integer, and K is capped at the class size, so a K
+    # that no float can hold sweeps like K = the largest class
+    save(make_dataset(np.random.default_rng(10), n=12, d=2, classes=2),
+         tmp_path / "toy.csv")
+    big = 10 ** 400
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("dataset = toy\ndataset_path = toy.csv\n"
+                        "method = euclidean_baseline\nrepetitions = 1\n"
+                        "k_grid = 1 %d %d\n" % (big, 12))
+    cfg = load_config(cfg_file)
+    assert cfg.k_grid == (1, big, 12)
+    acc_by_k = run_experiment(cfg)[0].acc_by_k
+    assert acc_by_k[big] == acc_by_k[12]
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),

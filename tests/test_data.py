@@ -85,6 +85,19 @@ def test_label_column_checked_once_at_the_first_line(tmp_path, label_column):
         load(p, label_column=label_column)
 
 
+@pytest.mark.parametrize("label_column", [1.5, "0", None])
+def test_label_column_must_be_an_integer_before_the_file_is_read(tmp_path,
+                                                                 label_column):
+    # the file does not exist: the column is checked before it is opened
+    with pytest.raises(ValueError, match="label_column must be an integer, got %r"
+                                         % (label_column,)):
+        load(tmp_path / "absent.csv", label_column=label_column)
+    p = tmp_path / "lc.csv"
+    p.write_text("a,1.0,2.0\nb,3.0,4.0\n")
+    assert load(p, label_column=np.int64(0)).features.tolist() == [[1.0, 2.0],
+                                                                   [3.0, 4.0]]
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, newline):
     # the line with the bad byte is named, not the last line read
@@ -247,6 +260,15 @@ def test_pca_target_dim_validation():
     # target beyond the dimension is the identity-transform case, not an error
     out = apply_pca(fit_pca(ds, 4), ds)
     assert np.array_equal(out.features, ds.features)
+
+
+@pytest.mark.parametrize("target_dim", [2.5, "2", None])
+def test_pca_target_dim_must_be_an_integer(target_dim):
+    ds = Dataset(np.random.default_rng(7).normal(size=(5, 3)), [1, 2, 1, 2, 1])
+    with pytest.raises(ValueError, match="target_dim must be an integer >= 1, got %r"
+                                         % (target_dim,)):
+        fit_pca(ds, target_dim)
+    assert fit_pca(ds, np.int64(2)).pca_basis.shape == (3, 2)
 
 
 # ---------------------------------------------------------------------------
