@@ -55,34 +55,50 @@ def _queries(train: Dataset, x, one: bool = False) -> np.ndarray:
 def _scores(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
             groups, ks) -> np.ndarray:
     """(len(ks), n_queries, len(groups)): each query's average of its K smallest
-    distances to each group (index array) of train's rows, K capped at its size.
+    distances to each group of train's rows, K capped at the group's size.
 
-    The query-to-train distance table is scored row block by row block as it
-    is finished, while each block is still in cache. In a block, each group's
-    columns are gathered once. Every K but the last partitions a
-    layout-preserving copy of them, as np.partition does; the last partitions
-    the gathered block itself, which nothing reads afterwards. So every K
-    averages the same values in the same order as np.partition of freshly
-    gathered columns would.
+    A group is a slice (one consecutive run of rows, see _group) or an
+    increasing index array, and no two groups share a row. The
+    query-to-train distance table is scored row block by row block as it is
+    finished, while each block is still in cache. A slice group's columns
+    are read as a view of the block; an index array gathers them once.
+    Values of K with the same cap are scored once. Each cap but the last
+    partitions a copy of the columns; the last partitions them in place,
+    which is safe because the table is this call's own and the groups are
+    disjoint. Each mean is taken over a column-major copy of the K smallest
+    values, the layout a gather gives, so each row is summed left to right
+    (numpy sums a block of one row pairwise, gathered or not). So every score
+    holds the same bits as np.partition of freshly gathered block columns.
     """
     scores = np.empty((len(ks), len(queries), len(groups)))
     _, blocks = _table_blocks(metric, queries, train.features)
     for lo, block in blocks:
         rows = slice(lo, lo + len(block))
-        for g, idx in enumerate(groups):
-            gathered = block[:, idx]
-            for i, k in enumerate(ks):
-                kc = min(k, gathered.shape[1])
-                part = gathered if i == len(ks) - 1 else gathered.copy(order="K")
+        for g, group in enumerate(groups):
+            cols = block[:, group]
+            caps = sorted({min(k, cols.shape[1]) for k in ks})
+            means = {}
+            for kc in caps:
+                part = cols if kc == caps[-1] else cols.copy(order="K")
                 part.partition(kc - 1, axis=1)
-                scores[i, rows, g] = part[:, :kc].mean(axis=1)
+                means[kc] = np.asfortranarray(part[:, :kc]).mean(axis=1)
+            for i, k in enumerate(ks):
+                scores[i, rows, g] = means[min(k, cols.shape[1])]
     return scores
+
+
+def _group(idx: np.ndarray):
+    """Increasing row indices idx as a slice when they are one consecutive
+    run, which _scores reads as a view of the table, else idx itself."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _predictions(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
                  ks) -> np.ndarray:
     """(len(ks), n_queries) predicted class ids, one row per K in ks."""
-    classes = [train.class_indices(c) for c in range(1, train.n_classes + 1)]
+    classes = [_group(train.class_indices(c)) for c in range(1, train.n_classes + 1)]
     return np.argmin(_scores(train, metric, queries, classes, ks), axis=2) + 1
 
 
@@ -93,7 +109,8 @@ def decision_score(fit: FitKnn, x, c: int) -> float:
         raise ValueError("unknown class %s" % (c,))
     in_c = fit.train.labels == c
     own, rest = _scores(fit.train, fit.metric, _queries(fit.train, x, one=True),
-                        (np.flatnonzero(in_c), np.flatnonzero(~in_c)), (fit.k,))[0, 0]
+                        (_group(np.flatnonzero(in_c)), _group(np.flatnonzero(~in_c))),
+                        (fit.k,))[0, 0]
     return float(own - rest)
 
 
