@@ -219,7 +219,7 @@ def _repetition(full: Dataset, cfg: ExperimentConfig, rep: int) -> tuple:
         metric = MetricMatrix.identity(train_ds.n_features)
         alpha, gamma = cfg.alpha_grid[0], cfg.gamma_grid[0]
         if cfg.method == "pnca_report":
-            nbrs = build_neighbor_sets(train_ds, mode="all_same_class")
+            nbrs = _neighbor_sets(train_ds, cfg.method)
             vals = {a: pnca_objective(metric, train_ds, nbrs, a)
                     for a in cfg.alpha_grid}
             alpha = max(vals, key=vals.get)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Dataset, MetricMatrix, _check_count, _require_metric
 from .metric import _table_blocks
+from .softagg import _topk_means
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ def _scores(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
     Values of K with the same cap are scored once. Each cap but the last
     partitions a copy of the columns; the last partitions them in place,
     which is safe because the table is this call's own and the groups are
-    disjoint. Each mean is taken over a column-major copy of the K smallest
-    values, the layout a gather gives, so each row is summed left to right
-    (numpy sums a block of one row pairwise, gathered or not). So every score
-    holds the same bits as np.partition of freshly gathered block columns.
+    disjoint. Each mean is softagg._topk_means of the partitioned columns,
+    which sums every row left to right whatever the block's row count or
+    layout. So every score holds the same bits as topk_avg_smallest of that
+    query's row of the group's distances.
     """
     scores = np.empty((len(ks), len(queries), len(groups)))
     _, blocks = _table_blocks(metric, queries, train.features)
@@ -81,7 +82,7 @@ def _scores(train: Dataset, metric: MetricMatrix, queries: np.ndarray,
             for kc in caps:
                 part = cols if kc == caps[-1] else cols.copy(order="K")
                 part.partition(kc - 1, axis=1)
-                means[kc] = np.asfortranarray(part[:, :kc]).mean(axis=1)
+                means[kc] = _topk_means(part, kc)
             for i, k in enumerate(ks):
                 scores[i, rows, g] = means[min(k, cols.shape[1])]
     return scores

@@ -6,6 +6,7 @@ between the minimum (gamma -> +inf), the mean (gamma -> 0) and the maximum
 (gamma -> -inf) of a list, and for every K there is a gamma* at which it
 equals the average of the K smallest (gamma* > 0) or K largest (gamma* < 0)
 values. gamma = 0 itself is excluded; callers use the plain mean there.
+Every top-K average, the K-NN scorer's included, is taken by _topk_means.
 """
 
 from __future__ import annotations
@@ -32,14 +33,22 @@ def _check_values(values) -> np.ndarray:
     return a
 
 
+def _topk_means(part: np.ndarray, k: int) -> np.ndarray:
+    """Mean of the first k entries of each row of a 2-D array, each row summed
+    left to right: an accumulate is sequential whatever the row count or
+    memory layout, where a sum over a row may go pairwise. With part
+    partitioned at k - 1, this is each row's average of its K smallest
+    values, as topk_avg_smallest and the K-NN scorer take it."""
+    return np.add.accumulate(part[:, :k].T, axis=0)[-1] / k
+
+
 def topk_avg_smallest(values, k: int) -> float:
-    """Average of the K smallest values; ties resolved by value, not index."""
+    """Average of the K smallest values; ties resolved by value, not index.
+    The one-row case of _topk_means."""
     a = _check_values(values)
     if not 1 <= k <= a.size:
         raise ValueError("K must be in [1, %d], got %d" % (a.size, k))
-    if k == a.size:
-        return float(a.mean())
-    return float(np.mean(np.partition(a, k - 1)[:k]))
+    return float(_topk_means(np.partition(a, k - 1)[None], k)[0])
 
 
 def topk_avg_largest(values, k: int) -> float:

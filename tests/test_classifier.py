@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptnn import (Dataset, FitKnn, MetricMatrix, accuracy, accuracy_by_k,
-                     decision_score, predict, predict_batch)
+                     decision_score, predict, predict_batch, topk_avg_smallest)
 from adaptnn.classifier import _group, _scores
 from adaptnn.metric import _TABLE_BLOCK, pairwise_sq
 from helpers import knn_predictions_oracle, make_dataset, random_psd
@@ -259,13 +260,15 @@ def test_queries_are_checked_against_the_feature_count():
 
 def _scores_oracle(train, metric, queries, groups, ks):
     """_scores from the whole table: for every K, np.partition of each
-    group's freshly gathered columns, K capped at the group's size."""
+    group's freshly gathered columns, K capped at the group's size, and the
+    K smallest of each row added one column after another, left to right."""
     table = pairwise_sq(metric, queries, train.features)
     out = np.empty((len(ks), len(queries), len(groups)))
     for g, idx in enumerate(groups):
         for i, k in enumerate(ks):
             kc = min(k, idx.size)
-            out[i, :, g] = np.partition(table[:, idx], kc - 1, axis=1)[:, :kc].mean(axis=1)
+            part = np.partition(table[:, idx], kc - 1, axis=1)[:, :kc]
+            out[i, :, g] = functools.reduce(np.add, part.T) / kc
     return out
 
 
@@ -278,8 +281,7 @@ def _scoring_cases(draw):
     """Classes of 2-40 samples, class-sorted or shuffled; K grids with a
     repeated K and a K capped at the largest class; a row block of `step`
     queries, with the queries spanning at least two blocks and the last one
-    ragged but of at least 2 rows (a 1-row block sums differently, see
-    test_a_query_alone_in_its_row_block_sums_as_the_whole_table)."""
+    ragged, one row included."""
     sizes = draw(st.lists(st.integers(2, 40), min_size=2, max_size=4))
     labels = np.repeat(np.arange(1, len(sizes) + 1), sizes).tolist()
     shuffled = draw(st.booleans())
@@ -288,7 +290,7 @@ def _scoring_cases(draw):
     ks = draw(st.lists(st.integers(1, 45), min_size=1, max_size=5))
     ks += [ks[0], max(sizes) + draw(st.integers(0, 5))]
     step = draw(st.integers(3, 7))
-    n_queries = step * draw(st.integers(1, 3)) + draw(st.integers(2, step - 1))
+    n_queries = step * draw(st.integers(1, 3)) + draw(st.integers(1, step - 1))
     return np.array(labels), shuffled, ks, step, n_queries, draw(st.integers(0, 2 ** 16))
 
 
@@ -297,7 +299,8 @@ def _scoring_cases(draw):
 def test_run_views_score_as_gathered_columns_and_whole_table(case):
     # a run group is read as a view of the block and partitioned in place;
     # every score must hold the same bits as gathered columns and as the
-    # whole-table oracle, kc >= 8 included (where a row-major sum differs)
+    # whole-table oracle, kc >= 8 included (where numpy's sum of a row may
+    # go pairwise)
     labels, shuffled, ks, step, n_queries, seed = case
     rng = np.random.default_rng(seed)
     d = 3
@@ -355,12 +358,10 @@ def test_decision_score_of_a_run_whose_complement_is_two_runs(k):
         assert decision_score(fit, q, 2) == float(expected[0] - expected[1])
 
 
-@pytest.mark.xfail(strict=True, reason="numpy sums a 1-row array pairwise, "
-                   "so kc >= 8 scores of a lone last-block row differ in the last bits")
 def test_a_query_alone_in_its_row_block_sums_as_the_whole_table():
     # 4-row blocks and 9 queries: the last block holds one row, whose K
-    # smallest values numpy sums pairwise, where every other row (and the
-    # oracle) sums left to right
+    # smallest values are summed left to right like every other row's (a
+    # numpy sum over a 1-row array would go pairwise for kc >= 8)
     rng = np.random.default_rng(35)
     train = Dataset(rng.normal(size=(60, 3)), np.repeat([1, 2], 30))
     metric = MetricMatrix(random_psd(rng, 3, jitter=0.1))
@@ -377,7 +378,7 @@ def test_one_k_accuracy_copies_no_class_columns():
     # class-sorted: every class is a view of the table block, so beyond
     # building the table (the table, _finish_rows's block buffer and its
     # iterator buffers, measured here) the call holds only the scores and,
-    # per group, a column-major copy of the K smallest values; a gathered
+    # per group, the running sums of the K smallest values; a gathered
     # class (one row block x 400 columns, about 170 KiB) would not fit
     rng = np.random.default_rng(34)
     labels = np.repeat([1, 2, 3], 400)
@@ -421,3 +422,30 @@ def test_each_capped_k_partitions_fresh_columns(shuffle):
     assert np.array_equal(_scores(train, metric, queries, groups, ks),
                           _scores_oracle(train, metric, queries,
                                          _class_indices(train), ks))
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("n_queries", [1, 2, 9])
+def test_each_score_is_topk_avg_smallest_of_its_distances(shuffle, n_queries):
+    # the scorer and topk_avg_smallest take one mean, so each score holds the
+    # bits of topk_avg_smallest of the query's row of distances to the
+    # class: a query alone or in a batch, in 4-row blocks (9 queries leave a
+    # 1-row last block), and K below, at and above each class's size
+    rng = np.random.default_rng(37)
+    labels = np.repeat([1, 2, 3], [30, 12, 21])
+    if shuffle:
+        labels = rng.permutation(labels)
+    train = Dataset(rng.normal(size=(labels.size, 3)), labels)
+    metric = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    queries = rng.normal(size=(n_queries, 3))
+    indices = _class_indices(train)
+    groups = [_group(idx) for idx in indices]
+    ks = (1, 7, 8, 11, 12, 13, 20, 21, 22, 29, 30, 31, 64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("adaptnn.metric._TABLE_BLOCK", 4 * train.n_samples)
+        got = _scores(train, metric, queries, groups, ks)
+    table = pairwise_sq(metric, queries, train.features)
+    for i, k in enumerate(ks):
+        for g, idx in enumerate(indices):
+            expected = [topk_avg_smallest(row, min(k, idx.size)) for row in table[:, idx]]
+            assert np.array_equal(got[i, :, g], expected), (k, g)

@@ -72,28 +72,36 @@ def test_quadratic_forms_once_per_iterate(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def zscored_iris():
+def edge_datasets():
+    """z-scored iris, and a degenerate copy of it: one constant feature more,
+    sample 0 repeated under class 2's label, and sample 120 repeated in its
+    own class."""
     raw = load(IRIS)
-    return apply_zscore(fit_zscore(raw), raw)
+    iris = apply_zscore(fit_zscore(raw), raw)
+    x = np.hstack([iris.features, np.ones((iris.n_samples, 1))])
+    degenerate = Dataset(np.vstack([x, x[[0, 120]]]),
+                         np.concatenate([iris.labels, [2, iris.labels[120]]]))
+    return iris, degenerate
 
 
 @pytest.mark.parametrize("mode", ["all_same_class", "knn_same_class"])
 @pytest.mark.parametrize("gamma", [2.0 ** -9, 2.0 ** 10])
 @pytest.mark.parametrize("alpha", [2.0 ** -9, -2.0 ** -9, 2.0 ** 10, -2.0 ** 10])
-def test_train_at_grid_edges(zscored_iris, alpha, gamma, mode):
-    # the extreme alpha/gamma the full grids reach: train must not diverge,
-    # must only accept decreasing finite objectives and must stay PSD
-    data = zscored_iris
-    nbrs = build_neighbor_sets(data, mode=mode)
-    hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / data.n_samples ** 2,
-                     max_iters=40)
-    report = train(data, nbrs, hp, default_init(data))
-    accepted = report.accepted_objectives()
-    assert np.all(np.isfinite(accepted))
-    assert all(a > b for a, b in zip(accepted, accepted[1:]))
-    m = report.final_metric.m
-    assert np.abs(m - m.T).max() <= 1e-9
-    assert np.linalg.eigvalsh(m).min() >= -1e-10
+def test_train_at_grid_edges(edge_datasets, alpha, gamma, mode):
+    # the extreme alpha/gamma the full grids reach, on clean and on
+    # degenerate data: train must not diverge, must only accept decreasing
+    # finite objectives and must stay PSD
+    for data in edge_datasets:
+        nbrs = build_neighbor_sets(data, mode=mode)
+        hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / data.n_samples ** 2,
+                         max_iters=40)
+        report = train(data, nbrs, hp, default_init(data))
+        accepted = report.accepted_objectives()
+        assert np.all(np.isfinite(accepted))
+        assert all(a > b for a, b in zip(accepted, accepted[1:]))
+        m = report.final_metric.m
+        assert np.abs(m - m.T).max() <= 1e-9
+        assert np.linalg.eigvalsh(m).min() >= -1e-10
 
 
 def test_step_size_follows_accept_reject_rule():

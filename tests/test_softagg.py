@@ -1,10 +1,12 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from adaptnn import soft_agg, solve_gamma_star, topk_avg_largest, topk_avg_smallest
-from adaptnn.softagg import _segment_soft_agg
+from adaptnn.softagg import _segment_soft_agg, _topk_means
 
 
 def test_topk_smallest_examples():
@@ -26,6 +28,20 @@ def test_topk_k_out_of_range():
         topk_avg_smallest([1, 2], 3)
     with pytest.raises(ValueError):
         topk_avg_largest([1, 2], 5)
+
+
+def test_topk_means_sums_each_row_left_to_right():
+    # the same bits for a row alone, in a C- or F-ordered block and from a
+    # plain left-to-right sum, at k below and past the 8 entries from which
+    # a numpy sum over a row may go pairwise
+    rng = np.random.default_rng(19)
+    block = rng.uniform(0, 10, size=(5, 40))
+    for k in (1, 2, 7, 8, 9, 33, 40):
+        expected = [functools.reduce(operator.add, row[:k].tolist()) / k
+                    for row in block]
+        for p in (block, np.asfortranarray(block)):
+            assert _topk_means(p, k).tolist() == expected
+        assert [_topk_means(block[i:i + 1], k)[0] for i in range(5)] == expected
 
 
 def test_topk_ties_broken_by_value():
