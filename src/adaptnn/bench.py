@@ -26,7 +26,7 @@ from .classifier import _predictions, accuracy_by_k
 from .core import Dataset, HyperParams, MetricMatrix, _check_count
 from .data import (_check_format, _read_lines, apply_zscore,
                    build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load)
-from .objective import nca_objective, pnca_objective
+from .objective import PairEvaluator, nca_objective, pnca_objective
 from .optimizer import default_init, train
 
 METHODS = ("ann_plus", "ann_minus", "pnca_report", "euclidean_baseline")
@@ -149,17 +149,20 @@ def _neighbor_sets(ds: Dataset, method: str):
 
 
 def _train_metric(train_ds: Dataset, nbrs, alpha: float, gamma: float,
-                  cfg: ExperimentConfig) -> MetricMatrix:
+                  cfg: ExperimentConfig, evaluator=None) -> MetricMatrix:
     hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / train_ds.n_samples ** 2,
                      max_iters=cfg.max_iters, eta0=cfg.eta0)
-    return train(train_ds, nbrs, hp, default_init(train_ds)).final_metric
+    return train(train_ds, nbrs, hp, default_init(train_ds),
+                 evaluator=evaluator).final_metric
 
 
 def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
     """Pick the (alpha, gamma) cell with the highest mean best-K fold accuracy.
-    Folds are the outer loop, so each fold's subsets and neighbor sets are
-    built once for all cells. Ties go to the first cell in (|alpha|, gamma)
-    order: smaller |alpha|, then smaller gamma."""
+    Folds are the outer loop, so each fold's subsets, neighbor sets and pair
+    structure (its :class:`PairEvaluator`) are built once for all cells,
+    and a fold's pair structure is freed before the next fold's is built.
+    Ties go to the first cell in (|alpha|, gamma) order: smaller |alpha|,
+    then smaller gamma."""
     folds = cv_fold_ids(train_ds.labels, cfg.cv_folds, rng)
     cells = sorted(((a, g) for a in cfg.alpha_grid for g in cfg.gamma_grid),
                    key=lambda t: (abs(t[0]), t[1]))
@@ -186,10 +189,12 @@ def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
         # the held-out rows are only scored, so no Dataset rules apply to them
         held_x, held_y = train_ds.features[folds == f], train_ds.labels[folds == f]
         nbrs = _neighbor_sets(tr, cfg.method)
+        evaluator = PairEvaluator(tr, nbrs)
         for c, (alpha, gamma) in enumerate(cells):
-            metric = _train_metric(tr, nbrs, alpha, gamma, cfg)
+            metric = _train_metric(tr, nbrs, alpha, gamma, cfg, evaluator)
             preds = _predictions(tr, metric, held_x, cfg.k_grid)
             scores[c, f] = np.mean(preds == held_y, axis=1).max()
+        del evaluator  # before the next fold's is built
     return cells[int(np.argmax(scores.mean(axis=1)))]
 
 

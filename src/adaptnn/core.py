@@ -91,7 +91,7 @@ def _symmetrized(a, tol: float, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("%s must be square, got shape %s" % (name, a.shape))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("%s contains non-finite entries" % name)
     asym = np.abs(a - a.T).max(initial=0.0)
     if asym > tol:
@@ -119,11 +119,15 @@ class MetricMatrix:
 
     @classmethod
     def _trusted(cls, sym: np.ndarray) -> "MetricMatrix":
-        """Wrap a matrix that is exactly symmetric and PSD by construction
-        (the output of :func:`adaptnn.metric.psd_project`) without the
-        eigenvalue re-check; the stored matrix is the one __init__ would store."""
+        """Wrap a fresh matrix that is exactly symmetric and PSD by
+        construction (the output of :func:`adaptnn.metric.psd_project`)
+        without the eigenvalue re-check; the stored matrix is the one
+        __init__ would store. The metric takes ownership of sym: it is marked
+        read-only and stored as it is, not copied, so the caller must hold no
+        other reference that writes to it."""
+        sym.flags.writeable = False
         out = cls.__new__(cls)
-        out.m = _readonly(sym)
+        out.m = sym
         out.dim = sym.shape[0]
         return out
 

@@ -16,10 +16,12 @@ X^T (diag(W 1) - W) X (the identity NCA implementations use), so the
 per-call gradient work is O(P + N^2 d) instead of d^2 per pair. X is
 centred first: the Laplacian annihilates constant columns, so the result is
 the same, but without the centring a large common offset in the features
-cancels catastrophically. The objective returns an
-:class:`Evaluation` holding J and the soft sides it came from, and the
-gradient takes that evaluation, so J and dJ/dM at one metric share one pass
-over the pairs' quadratic forms.
+cancels catastrophically. The objective takes the metric and the
+hyperparameters and returns an :class:`Evaluation` holding J, the soft
+sides it came from and those hyperparameters, and the gradient takes that
+evaluation, so J and dJ/dM at one metric share one pass over the pairs'
+quadratic forms. The evaluator itself holds no hyperparameters, so one
+serves every grid cell of a cross-validation fold.
 
 The evaluator reads the neighbor sets as their CSR arrays and reduces every
 sample's segment of distances with the per-segment soft aggregate of
@@ -148,9 +150,12 @@ def _blocks(rows, step=_BLOCK_ROWS):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """J at one metric and the terms behind it: the soft sides ds = b(alpha)
-    and dd = b(1), u = (ds - dd) / gamma, and each side's softmax terms
-    (e, total), so a pair's weight within its segment is e / total."""
+    """J at one metric under the hyperparameters ``hp`` it was evaluated
+    with, and the terms behind it: the soft sides ds = b(alpha) and
+    dd = b(1), u = (ds - dd) / gamma, and each side's softmax terms
+    (e, total), so a pair's weight within its segment is e / total. The
+    gradient reads hp from here, so an evaluation made under other
+    hyperparameters later does not change it."""
 
     j: float
     ds: np.ndarray
@@ -158,6 +163,7 @@ class Evaluation:
     u: np.ndarray
     sim: tuple
     dis: tuple
+    hp: HyperParams
 
 
 def _pair_keys(counts, nbr):
@@ -199,16 +205,20 @@ def _pair_weights(side, xi, counts):
 class PairEvaluator:
     """The library's single evaluator of soft sides, J(M) and dJ/dM.
 
-    The row keys min*N + max (one per unordered pair), the maps
-    ``inv_s``/``inv_d`` from each similar and dissimilar pair to its row and
-    the centred features are built once up front; each pair's owner is
-    derived from the CSR pointers only to key the rows. So are the
-    difference rows ``diff`` (x_min - x_max) while rows x d is at most
-    ``_STREAM_ELEMENTS``; above it ``diff`` is None and every pass gathers
-    each block's rows from the features ``x``. None of them depends on the
-    metric and no call changes them, so one instance serves a whole fit.
-    :meth:`objective` also accepts a raw square array (finite-difference
-    checks step off the PSD cone).
+    An instance is the pair structure of one (dataset, neighbor sets) pair
+    and holds no hyperparameters: :meth:`objective` takes them with the
+    metric and records them in its :class:`Evaluation`. The row keys
+    min*N + max (one per unordered pair), the maps ``inv_s``/``inv_d`` from
+    each similar and dissimilar pair to its row and the centred features
+    are built once up front; each pair's owner is derived from the CSR
+    pointers only to key the rows. So are the difference rows ``diff``
+    (x_min - x_max) while rows x d is at most ``_STREAM_ELEMENTS``; above it
+    ``diff`` is None and every pass gathers each block's rows from the
+    features ``x``. None of them depends on the metric or the
+    hyperparameters and no call changes them, so one instance serves every
+    fit on its data and neighbor sets: each fold of a cross-validated grid
+    builds one for all its cells. :meth:`objective` also accepts a raw
+    square array (finite-difference checks step off the PSD cone).
 
     The quadratic forms d_M of the pairs are the only per-pair d^2 work and
     always come from the difference rows, which keeps J free of
@@ -228,11 +238,11 @@ class PairEvaluator:
     per-listed-pair scatter bit for bit.
     """
 
-    def __init__(self, data: Dataset, nbrs: NeighborSets, hp: HyperParams):
+    def __init__(self, data: Dataset, nbrs: NeighborSets):
         if nbrs.n_samples != data.n_samples:
             raise ValueError("neighbor sets cover %d samples, dataset has %d"
                              % (nbrs.n_samples, data.n_samples))
-        self.hp = hp
+        self.nbrs = nbrs
         x = data.features
         n = data.n_samples
         self.sim_ptr, self.dis_ptr = nbrs.sim_ptr, nbrs.dis_ptr
@@ -254,22 +264,23 @@ class PairEvaluator:
         self.inv_d = row[key_d]
         del row, key_d  # before the rows are allocated
         self.x = x
-        self.diff = None
+        self.diff = self._stored = None
         if self.keys.size * x.shape[1] <= _STREAM_ELEMENTS:
             lo, hi = np.divmod(self.keys, n)
             self.diff = np.empty((self.keys.size, x.shape[1]))
-            for b in _blocks(self.keys.size):
-                np.subtract(x[lo[b]], x[hi[b]], out=self.diff[b])
+            self._stored = [(b, self.diff[b]) for b in _blocks(self.keys.size)]
+            for b, rows in self._stored:
+                np.subtract(x[lo[b]], x[hi[b]], out=rows)
         self.xc = x - x.sum(axis=0) / n  # x.mean(axis=0), bit for bit
 
     def _row_blocks(self):
-        """Each block's slice of the rows and its difference rows: views of
-        ``diff`` when it is stored, else rows gathered from the features
-        into two buffers that every block reuses."""
-        if self.diff is not None:
-            for b in _blocks(self.keys.size):
-                yield b, self.diff[b]
-            return
+        """Each block's slice of the rows and its difference rows: the
+        (slice, view of ``diff``) pairs listed once in __init__ when the
+        rows are stored, else rows gathered from the features into two
+        buffers that every block reuses."""
+        return self._streamed() if self._stored is None else self._stored
+
+    def _streamed(self):
         n, d = self.x.shape
         rows = self.keys.size
         # the stored blocks cut into _STREAM_ROWS-row pieces (_BLOCK_ROWS is a
@@ -294,22 +305,23 @@ class PairEvaluator:
         for b, rows in self._row_blocks():
             np.einsum("pi,pi->p", rows @ mm, rows, out=q[b])
         np.maximum(q, 0.0, out=q)
-        return q[self.inv_s], q[self.inv_d]
+        return q.take(self.inv_s), q.take(self.inv_d)
 
-    def objective(self, m) -> Evaluation:
-        """J(M) with the soft sides it came from; ``.j`` is the value, and
-        :meth:`gradient` takes the whole evaluation."""
-        hp = self.hp
+    def objective(self, m, hp: HyperParams) -> Evaluation:
+        """J(M) under hp with the soft sides it came from; ``.j`` is the
+        value, and :meth:`gradient` takes the whole evaluation, hp
+        included."""
         q_s, q_d = self._quadforms(m)
         ds, e_s, tot_s = _segment_soft_agg(q_s, hp.alpha, self.sim_ptr, self.sim_counts)
         dd, e_d, tot_d = _segment_soft_agg(q_d, 1.0, self.dis_ptr, self.dis_counts)
         u = (ds - dd) / hp.gamma
         j = float(hp.loss.value(u).sum()) + hp.lam * float(q_s.sum())
-        return Evaluation(j, ds, dd, u, (e_s, tot_s), (e_d, tot_d))
+        return Evaluation(j, ds, dd, u, (e_s, tot_s), (e_d, tot_d), hp)
 
     def gradient(self, at: Evaluation) -> np.ndarray:
-        """dJ/dM at the metric that :meth:`objective` evaluated as ``at``."""
-        hp = self.hp
+        """dJ/dM at the metric and under the hyperparameters that
+        :meth:`objective` evaluated as ``at``."""
+        hp = at.hp
         xi = hp.loss.derivative(at.u) / hp.gamma
         rows = self.keys.size
         # each unordered pair's weight, summed over its listings; one side's
@@ -334,7 +346,7 @@ class PairEvaluator:
 def ann_objective(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> float:
     """J(M) = sum_i loss((ds_i - dd_i)/gamma) + lam * sum of similar-side
     distances, through a one-off :class:`PairEvaluator`."""
-    return PairEvaluator(data, nbrs, hp).objective(m).j
+    return PairEvaluator(data, nbrs).objective(m, hp).j
 
 
 def ann_gradient(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> np.ndarray:
@@ -344,8 +356,8 @@ def ann_gradient(m, data: Dataset, nbrs: NeighborSets, hp: HyperParams) -> np.nd
     (i, l in D_i) contributes -xi_i r^d_il X_il, with X_ab the outer product
     of the difference vector and xi_i = loss'((ds_i - dd_i)/gamma) / gamma.
     """
-    ev = PairEvaluator(data, nbrs, hp)
-    return ev.gradient(ev.objective(m))
+    ev = PairEvaluator(data, nbrs)
+    return ev.gradient(ev.objective(m, hp))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +386,8 @@ def pnca_objective(m, data: Dataset, nbrs: NeighborSets, alpha: float) -> float:
     With alpha = 1 and S_i/D_i the full same/other-class sets this equals
     :func:`nca_objective`. Each summand lies in (0, 1).
     """
-    at = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).objective(m)
+    hp = HyperParams(alpha=alpha)
+    at = PairEvaluator(data, nbrs).objective(m, hp)
     # ln A_i = ln|S_i|/alpha - ds_i and ln B_i = ln|D_i| - dd_i
     log_a = np.log(np.diff(nbrs.sim_ptr)) / alpha - at.ds
     log_b = np.log(np.diff(nbrs.dis_ptr)) - at.dd

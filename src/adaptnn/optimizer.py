@@ -10,6 +10,7 @@ dropped once used, so the loop never holds two.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Optional
 
@@ -40,27 +41,38 @@ def default_init(data: Dataset) -> MetricMatrix:
 
 def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
           init: Optional[MetricMatrix] = None,
-          callback: Optional[Callable] = None) -> TrainReport:
+          callback: Optional[Callable] = None,
+          evaluator: Optional[PairEvaluator] = None) -> TrainReport:
     """Run the descent loop for hp.max_iters iterations (or until the step
     size collapses below ETA_MIN / 30 consecutive rejections); the report's
     stop_reason records which of the three ended it.
 
     callback, if given, receives (iteration, objective, eta, accepted) after
     every iteration.
+
+    evaluator, if given, is a :class:`PairEvaluator` built from this data's
+    features and this nbrs (a ValueError otherwise), and the fit reuses its
+    pair structure, so fits of several hyperparameter cells on one
+    cross-validation fold share one; if None, the fit builds its own. The
+    report is the same either way, bit for bit.
     """
     if init is None:
         init = default_init(data)
     if _require_metric(init, "init").dim != data.n_features:
         raise ValueError("init metric is %dx%d but data has %d features"
                          % (init.dim, init.dim, data.n_features))
+    if evaluator is not None and (evaluator.nbrs is not nbrs
+                                  or evaluator.x is not data.features):
+        raise ValueError("evaluator was built for other data or neighbor sets")
 
     start = time.perf_counter()
-    evaluator = PairEvaluator(data, nbrs, hp)  # pair differences gathered once
+    if evaluator is None:
+        evaluator = PairEvaluator(data, nbrs)  # pair differences gathered once
     m = init
     eta = hp.eta0
-    at = evaluator.objective(m)  # kept only while its gradient is due
+    at = evaluator.objective(m, hp)  # kept only while its gradient is due
     j_best = at.j
-    if not np.isfinite(j_best):
+    if not math.isfinite(j_best):
         raise DivergenceError("objective non-finite at the initial iterate", 0, m)
     trace = [(0, j_best, eta, True)]
     rejections = 0
@@ -71,12 +83,12 @@ def train(data: Dataset, nbrs: NeighborSets, hp: HyperParams,
         if at is not None:
             grad = evaluator.gradient(at)
             at = None  # before the candidate's evaluation is allocated
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise DivergenceError("gradient non-finite at iteration %d" % it, it, m)
         candidate = psd_project(m.m - eta * grad)
-        at = evaluator.objective(candidate)
+        at = evaluator.objective(candidate, hp)
         j_cand = at.j
-        if not np.isfinite(j_cand):
+        if not math.isfinite(j_cand):
             raise DivergenceError("objective non-finite at iteration %d" % it, it, m)
         accepted = j_cand < j_best
         trace.append((it, j_cand, eta, accepted))

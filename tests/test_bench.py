@@ -9,6 +9,7 @@ from adaptnn import (Dataset, emit_report, load_config, load_registry,
                      stratified_split, save)
 import adaptnn.bench as bench
 from adaptnn.bench import AccuracyRecord, ExperimentConfig, cv_fold_ids
+from adaptnn.objective import PairEvaluator
 from helpers import make_dataset
 
 
@@ -165,6 +166,36 @@ def test_cv_single_cell_skips_the_fold_check(tmp_path, monkeypatch):
     assert len(fits) == cfg.repetitions
     with pytest.raises(ValueError, match=r"class 3 is left with 1 training sample"):
         run_experiment(dataclasses.replace(cfg, alpha_grid=(2.0, 4.0)))
+
+
+@pytest.mark.parametrize("alpha_grid, gamma_grid, builds", [
+    ((1.0, 2.0), (0.5, 1.0), 3),  # one evaluator per fold, shared by 4 cells
+    ((2.0,), (0.5,), 0)])         # one cell: nothing to select, nothing built
+def test_cv_builds_one_evaluator_per_fold(monkeypatch, alpha_grid, gamma_grid,
+                                          builds):
+    built, used = [], []
+    init, train = PairEvaluator.__init__, bench.train
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spied_train(*args, evaluator=None, **kwargs):
+        used.append(evaluator)
+        return train(*args, evaluator=evaluator, **kwargs)
+
+    monkeypatch.setattr(PairEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(bench, "train", spied_train)
+    labels = np.repeat([1, 2], 15)
+    rng = np.random.default_rng(33)
+    data = Dataset(rng.normal(size=(30, 3)) + labels[:, None], labels)
+    cfg = ExperimentConfig(dataset="cv", path="unused.csv", method="ann_plus",
+                           alpha_grid=alpha_grid, gamma_grid=gamma_grid,
+                           k_grid=(1, 3), cv_folds=3, max_iters=3)
+    bench._cv_select(data, cfg, np.random.default_rng(0))
+    assert len(built) == builds
+    cells = len(alpha_grid) * len(gamma_grid)
+    assert used == [ev for ev in built for _ in range(cells)]
 
 
 def test_euclidean_baseline_skips_training(tmp_path):

@@ -92,7 +92,7 @@ def test_weights_empty_input():
 
 
 def _soft_sides(m, data, nbrs, alpha):
-    at = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).objective(m)
+    at = PairEvaluator(data, nbrs).objective(m, HyperParams(alpha=alpha))
     return at.ds, at.dd
 
 
@@ -444,7 +444,7 @@ def test_quadforms_equal_per_pair_oracle(case):
     # the quadratic forms are computed once per unordered pair and read out
     # per listed pair; they must equal the per-pair forms bit for bit
     data, nbrs, m = _quadform_case(case)
-    q_s, q_d = PairEvaluator(data, nbrs, HyperParams(alpha=2.0))._quadforms(m)
+    q_s, q_d = PairEvaluator(data, nbrs)._quadforms(m)
     e_s, e_d = pair_quadforms(m, data, nbrs)
     assert np.array_equal(q_s, e_s)
     assert np.array_equal(q_d, e_d)
@@ -461,8 +461,8 @@ def test_evaluator_equals_listed_pair_scatter(case, hp):
     # soft sides, J and dJ/dM must equal the per-listed-pair scatter bit for bit
     data, nbrs, m = _mutual_knn_case() if case == "mutual_knn" else _quadform_case(case)
     ds, dd, j, grad = listed_pair_evaluation(m, data, nbrs, hp)
-    ev = PairEvaluator(data, nbrs, hp)
-    at = ev.objective(m)
+    ev = PairEvaluator(data, nbrs)
+    at = ev.objective(m, hp)
     assert np.array_equal(at.ds, ds) and np.array_equal(at.dd, dd)
     assert at.j == j
     assert np.array_equal(ev.gradient(at), grad)
@@ -480,7 +480,7 @@ def test_quadform_pass_sees_each_unordered_pair_once(monkeypatch):
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counting_einsum)
-    PairEvaluator(data, nbrs, HyperParams(alpha=2.0)).objective(MetricMatrix.identity(3))
+    PairEvaluator(data, nbrs).objective(MetricMatrix.identity(3), HyperParams(alpha=2.0))
     # all_same_class lists every pair from both ends, on either side
     n_listed = nbrs.sim_nbr.size + nbrs.dis_nbr.size
     assert sum(rows) == len(_unordered_pairs(nbrs)) == n_listed // 2
@@ -492,7 +492,7 @@ def test_evaluator_rejects_neighbor_sets_of_another_size():
     nbrs = build_neighbor_sets(make_dataset(rng, n=12, d=2))
     with pytest.raises(ValueError, match="neighbor sets cover 12 samples, "
                                          "dataset has 10"):
-        PairEvaluator(data, nbrs, HyperParams(alpha=1.0))
+        PairEvaluator(data, nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +504,9 @@ def _stored_and_streamed(monkeypatch, data, nbrs, hp, m):
     out = []
     for limit, streamed in ((1 << 62, False), (0, True)):
         monkeypatch.setattr(objective, "_STREAM_ELEMENTS", limit)
-        ev = PairEvaluator(data, nbrs, hp)
+        ev = PairEvaluator(data, nbrs)
         assert (ev.diff is None) == streamed
-        at = ev.objective(m)
+        at = ev.objective(m, hp)
         out.append(ev._quadforms(m) + (at.ds, at.dd, at.j, ev.gradient(at)))
     return out
 
@@ -540,7 +540,7 @@ def test_streamed_evaluator_holds_no_rows():
     data, nbrs = make_instance(rng, n=900, d=24, classes=3)
     tracemalloc.start()
     try:
-        ev = PairEvaluator(data, nbrs, HyperParams(alpha=1.0))
+        ev = PairEvaluator(data, nbrs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,7 +572,7 @@ def test_evaluator_setup_holds_one_side_of_keys(monkeypatch):
     monkeypatch.setattr(objective, "_STREAM_ELEMENTS", 0)
     n = 600
     data, nbrs = make_instance(np.random.default_rng(29), n=n, d=8, classes=3)
-    ev, peak = _traced_peak(lambda: PairEvaluator(data, nbrs, HyperParams(alpha=1.0)))
+    ev, peak = _traced_peak(lambda: PairEvaluator(data, nbrs))
     sides = (nbrs.sim_nbr.size, nbrs.dis_nbr.size)
     held = n * n + ev.keys.size + sum(sides) + max(sides)
     assert 8 * held <= peak < 1.02 * 8 * held
@@ -583,8 +583,9 @@ def test_gradient_holds_one_square_buffer():
     n = 600
     rng = np.random.default_rng(29)
     data, nbrs = make_instance(rng, n=n, d=8, classes=3)
-    ev = PairEvaluator(data, nbrs, HyperParams(alpha=1.0, lam=0.01))
-    at = ev.objective(MetricMatrix(random_psd(rng, 8, jitter=0.1)))
+    ev = PairEvaluator(data, nbrs)
+    at = ev.objective(MetricMatrix(random_psd(rng, 8, jitter=0.1)),
+                      HyperParams(alpha=1.0, lam=0.01))
     _, peak = _traced_peak(lambda: ev.gradient(at))
     assert 8 * n * n <= peak < 8 * (1.5 * n * n + ev.keys.size)
 
@@ -605,8 +606,8 @@ def test_mirror_equals_w_plus_wt(n):
                                k0=5)
     hp = HyperParams(alpha=-2.0, gamma=0.5, lam=0.003)
     m = MetricMatrix(random_psd(rng, 3, jitter=0.1))
-    ev = PairEvaluator(data, nbrs, hp)
-    assert np.array_equal(ev.gradient(ev.objective(m)),
+    ev = PairEvaluator(data, nbrs)
+    assert np.array_equal(ev.gradient(ev.objective(m, hp)),
                           listed_pair_evaluation(m, data, nbrs, hp)[3])
 
 
@@ -620,14 +621,33 @@ def test_gradient_leaves_its_evaluation_unchanged():
                                k0=4)
     hp = HyperParams(alpha=-2.0, gamma=1.5, lam=0.01,
                      loss=SoftplusLoss(margin=0.5, sharpness=2.0))
-    ev = PairEvaluator(data, nbrs, hp)
-    at = ev.objective(MetricMatrix(random_psd(rng, 3, jitter=0.1)))
+    ev = PairEvaluator(data, nbrs)
+    at = ev.objective(MetricMatrix(random_psd(rng, 3, jitter=0.1)), hp)
     arrays = (at.ds, at.dd, at.u) + at.sim + at.dis
     before = [a.copy() for a in arrays]
     g1 = ev.gradient(at)
     g2 = ev.gradient(at)
     assert np.array_equal(g1, g2)
     assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+def test_gradient_reads_the_hyperparameters_of_its_evaluation():
+    # one evaluator, two hyperparameter sets: evaluating under hp2 must not
+    # change the gradient of an evaluation made earlier under hp1
+    rng = np.random.default_rng(17)
+    data, nbrs = make_instance(rng, n=16, d=3, classes=3, mode="knn_same_class",
+                               k0=4)
+    hp1 = HyperParams(alpha=2.0, gamma=0.5, lam=0.01)
+    hp2 = HyperParams(alpha=-2.0, gamma=1.5, lam=0.003,
+                      loss=SoftplusLoss(margin=0.5, sharpness=2.0))
+    m = MetricMatrix(random_psd(rng, 3, jitter=0.1))
+    ev = PairEvaluator(data, nbrs)
+    at1 = ev.objective(m, hp1)
+    at2 = ev.objective(m, hp2)
+    assert at1.hp is hp1 and at2.hp is hp2
+    g1 = ann_gradient(m, data, nbrs, hp1)
+    assert not np.array_equal(g1, ann_gradient(m, data, nbrs, hp2))
+    assert np.array_equal(ev.gradient(at1), g1)
 
 
 def test_gradient_exactly_symmetric():
@@ -681,7 +701,7 @@ def test_soft_sides_between_mean_and_extreme(mode, alpha):
     # so a -> 0 gives the mean of S_i, the pairwise-constraint sum, and
     # a -> +inf (-inf) its min (max); D_i is always aggregated at a = 1
     data, nbrs, m = _special_case(mode)
-    at = PairEvaluator(data, nbrs, HyperParams(alpha=alpha)).objective(m)
+    at = PairEvaluator(data, nbrs).objective(m, HyperParams(alpha=alpha))
     q_s, q_d = pair_quadforms(m, data, nbrs)
     for got, q, ptr, a in ((at.ds, q_s, nbrs.sim_ptr, alpha),
                            (at.dd, q_d, nbrs.dis_ptr, 1.0)):
@@ -705,7 +725,7 @@ def test_small_alpha_objective_is_the_pairwise_constraint_sum(mode, alpha):
     data, nbrs, m = _special_case(mode)
     gamma, lam = 1.5, 0.01
     hp = HyperParams(alpha=alpha, gamma=gamma, lam=lam, loss=IdentityLoss())
-    at = PairEvaluator(data, nbrs, hp).objective(m)
+    at = PairEvaluator(data, nbrs).objective(m, hp)
     q_s, _ = pair_quadforms(m, data, nbrs)
     segments = _segments(q_s, nbrs.sim_ptr)
     closed = (sum(v.mean() for v in segments) - at.dd.sum()) / gamma + lam * q_s.sum()
@@ -736,7 +756,7 @@ def test_large_alpha_objective_is_the_extreme_neighbor_sum(mode, loss):
         for k in range(1, 11):
             alpha = s * 2.0 ** k
             hp = HyperParams(alpha=alpha, gamma=gamma, lam=lam, loss=loss)
-            at = PairEvaluator(data, nbrs, hp).objective(m)
+            at = PairEvaluator(data, nbrs).objective(m, hp)
             j_inf = float(loss.value((e - at.dd) / gamma).sum()) + lam * q_s.sum()
             slack = (sum(_float_slack(v, alpha) for v in segments) / gamma
                      + 64 * np.finfo(float).eps

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from adaptnn import (Dataset, DivergenceError, HingeLoss, HyperParams,
-                     IdentityLoss, MetricMatrix, apply_zscore,
+                     IdentityLoss, MetricMatrix, SoftplusLoss, apply_zscore,
                      build_neighbor_sets, default_init, fit_zscore, load, train)
+from adaptnn import objective
 from adaptnn.objective import PairEvaluator
 from helpers import make_instance
 
@@ -287,3 +288,47 @@ def test_init_of_another_dimension_rejected():
     ds, ns = _separated_pair_classes()
     with pytest.raises(ValueError, match="init metric is 2x2 but data has 1 features"):
         train(ds, ns, HyperParams(alpha=1.0), init=MetricMatrix.identity(2))
+
+
+# ---------------------------------------------------------------------------
+# One evaluator shared by the fits of several grid cells
+
+
+def _report_bits(report):
+    """The final metric's and the trace's bytes, stop reason and count."""
+    return (report.final_metric.m.tobytes(),
+            np.array(report.objective_trace, dtype=float).tobytes(),
+            report.iterations_run, report.stop_reason)
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_cells_sharing_an_evaluator_train_as_fresh_fits(monkeypatch, streamed):
+    # two (alpha, gamma) cells trained one after the other from one
+    # evaluator, as a cross-validation fold runs them: each report equals
+    # that of a fit that builds its own evaluator, bit for bit, whether the
+    # difference rows are stored or streamed
+    if streamed:
+        monkeypatch.setattr(objective, "_STREAM_ELEMENTS", 0)
+    rng = np.random.default_rng(31)
+    data, nbrs = make_instance(rng, n=30, d=4, classes=3, mode="knn_same_class",
+                               k0=4)
+    shared = PairEvaluator(data, nbrs)
+    assert (shared.diff is None) == streamed
+    for hp in (HyperParams(alpha=2.0, gamma=0.5, lam=0.01, max_iters=15),
+               HyperParams(alpha=-4.0, gamma=2.0, lam=0.003, max_iters=15,
+                           loss=SoftplusLoss(margin=0.5, sharpness=2.0))):
+        got = train(data, nbrs, hp, evaluator=shared)
+        assert any(acc for (it, _, _, acc) in got.objective_trace if it > 0)
+        assert _report_bits(got) == _report_bits(train(data, nbrs, hp))
+
+
+def test_train_rejects_an_evaluator_of_other_data_or_neighbor_sets():
+    rng = np.random.default_rng(32)
+    data, nbrs = make_instance(rng, n=20, d=3, classes=2)
+    shifted = Dataset(data.features + 1.0, data.labels)
+    hp = HyperParams(alpha=1.0, max_iters=2)
+    for ev in (PairEvaluator(shifted, nbrs),
+               PairEvaluator(data, build_neighbor_sets(data))):
+        with pytest.raises(ValueError, match="evaluator was built for other "
+                                             "data or neighbor sets"):
+            train(data, nbrs, hp, evaluator=ev)
