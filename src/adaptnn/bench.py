@@ -27,7 +27,7 @@ from .core import Dataset, HyperParams, MetricMatrix, _check_count
 from .data import (_check_format, _read_lines, apply_zscore,
                    build_neighbor_sets, fit_pca, apply_pca, fit_zscore, load)
 from .objective import PairEvaluator, nca_objective, pnca_objective
-from .optimizer import default_init, train
+from .optimizer import train
 
 METHODS = ("ann_plus", "ann_minus", "pnca_report", "euclidean_baseline")
 ANN_MINUS_K0 = 10
@@ -105,33 +105,50 @@ class AccuracyRecord:
 # Splitting
 
 
+def _deal(labels, rng, places) -> np.ndarray:
+    """Each sample's part id: each class, in label order, is shuffled by one
+    rng.permutation, and a class of n samples deals its i-th shuffled member
+    to part places(n)[i]."""
+    labels = np.asarray(labels)
+    parts = np.empty(labels.size, dtype=int)
+    for c in np.unique(labels):
+        members = rng.permutation(np.flatnonzero(labels == c))
+        parts[members] = places(members.size)
+    return parts
+
+
 def stratified_split(labels, fraction: float, rng) -> tuple:
     """Per-class shuffled split; train takes round(fraction * n_c) of each
     class, clamped so both sides stay non-empty. A class with fewer than 2
     samples cannot be split that way and raises ValueError."""
-    labels = np.asarray(labels)
-    train_idx, test_idx = [], []
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        if members.size < 2:
-            raise ValueError("class %s has 1 sample; a stratified split needs "
-                             "at least 2 per class" % c)
-        perm = rng.permutation(members)
-        n_train = int(round(fraction * members.size))
-        n_train = min(max(n_train, 1), members.size - 1)
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+    classes, sizes = np.unique(labels, return_counts=True)
+    if (sizes < 2).any():
+        raise ValueError("class %s has 1 sample; a stratified split needs "
+                         "at least 2 per class" % classes[np.argmax(sizes < 2)])
+    parts = _deal(labels, rng,  # part 0 is train, part 1 test
+                  lambda n: np.arange(n) >= np.clip(round(fraction * n), 1, n - 1))
+    return np.flatnonzero(parts == 0), np.flatnonzero(parts == 1)
 
 
 def cv_fold_ids(labels, folds: int, rng) -> np.ndarray:
-    """Stratified fold assignment: shuffle each class, deal out round-robin."""
-    labels = np.asarray(labels)
-    ids = np.empty(labels.size, dtype=int)
-    for c in np.unique(labels):
-        members = rng.permutation(np.flatnonzero(labels == c))
-        ids[members] = np.arange(members.size) % folds
-    return ids
+    """Stratified fold assignment: shuffle each class, deal it out round-robin.
+    Before anything is drawn, a fold left empty or a class left with fewer
+    than 2 samples in a fold's training part raises ValueError."""
+    _check_count(folds, "folds")
+    classes, sizes = np.unique(labels, return_counts=True)
+    if folds > sizes.max():  # round robin fills folds 0 .. max n_c - 1
+        raise ValueError("fold %d holds no samples: cv_folds=%d is more than the "
+                         "%d training samples of the largest class"
+                         % (sizes.max(), folds, sizes.max()))
+    # a class of n keeps n - ceil(n / folds) = n + n // -folds in its emptiest
+    # fold's training part; fewer than 2 would drop it out of that fold's neighbor sets
+    for c, left in zip(classes, sizes + sizes // -folds):
+        if left < 2:
+            raise ValueError("class %d is left with %d training sample(s) in a "
+                             "fold with cv_folds=%d; cross-validation needs >= 2 "
+                             "per class in every fold's training part"
+                             % (c, left, folds))
+    return _deal(labels, rng, lambda n: np.arange(n) % folds)
 
 
 def _subset(data: Dataset, idx) -> Dataset:
@@ -152,8 +169,7 @@ def _train_metric(train_ds: Dataset, nbrs, alpha: float, gamma: float,
                   cfg: ExperimentConfig, evaluator=None) -> MetricMatrix:
     hp = HyperParams(alpha=alpha, gamma=gamma, lam=1.0 / train_ds.n_samples ** 2,
                      max_iters=cfg.max_iters, eta0=cfg.eta0)
-    return train(train_ds, nbrs, hp, default_init(train_ds),
-                 evaluator=evaluator).final_metric
+    return train(train_ds, nbrs, hp, evaluator=evaluator).final_metric
 
 
 def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
@@ -163,26 +179,11 @@ def _cv_select(train_ds: Dataset, cfg: ExperimentConfig, rng) -> tuple:
     and a fold's pair structure is freed before the next fold's is built.
     Ties go to the first cell in (|alpha|, gamma) order: smaller |alpha|,
     then smaller gamma."""
-    folds = cv_fold_ids(train_ds.labels, cfg.cv_folds, rng)
     cells = sorted(((a, g) for a in cfg.alpha_grid for g in cfg.gamma_grid),
                    key=lambda t: (abs(t[0]), t[1]))
     if len(cells) == 1:
         return cells[0]
-    empty = np.flatnonzero(np.bincount(folds, minlength=cfg.cv_folds) == 0)
-    if empty.size:
-        raise ValueError("fold %d holds no samples: cv_folds=%d is more than the "
-                         "%d training samples of the largest class"
-                         % (empty[0], cfg.cv_folds, folds.max() + 1))
-    # a class with fewer than 2 samples in a fold's training part would drop
-    # out of that fold's neighbor sets
-    for c in range(1, train_ds.n_classes + 1):
-        in_c = folds[train_ds.class_indices(c)]
-        fewest = in_c.size - np.bincount(in_c).max()
-        if fewest < 2:
-            raise ValueError("class %d is left with %d training sample(s) in a "
-                             "fold with cv_folds=%d; cross-validation needs >= 2 "
-                             "per class in every fold's training part"
-                             % (c, fewest, cfg.cv_folds))
+    folds = cv_fold_ids(train_ds.labels, cfg.cv_folds, rng)
     scores = np.empty((len(cells), cfg.cv_folds))  # best-K fold accuracies
     for f in range(cfg.cv_folds):
         tr = _subset(train_ds, folds != f)
@@ -202,10 +203,8 @@ def _preprocess(train_ds: Dataset, test_ds: Dataset) -> tuple:
     """Z-score (and PCA beyond PCA_THRESHOLD features), fitted on train only."""
     z = fit_zscore(train_ds)
     train_ds, test_ds = apply_zscore(z, train_ds), apply_zscore(z, test_ds)
-    if train_ds.n_features > PCA_THRESHOLD:
-        p = fit_pca(train_ds, PCA_THRESHOLD)
-        train_ds, test_ds = apply_pca(p, train_ds), apply_pca(p, test_ds)
-    return train_ds, test_ds
+    p = fit_pca(train_ds, PCA_THRESHOLD)  # the identity up to PCA_THRESHOLD
+    return apply_pca(p, train_ds), apply_pca(p, test_ds)
 
 
 def _repetition(full: Dataset, cfg: ExperimentConfig, rep: int) -> tuple:

@@ -43,13 +43,17 @@ def _check_fit(train: Dataset, metric: MetricMatrix, ks) -> None:
 
 def _queries(train: Dataset, x, one: bool = False) -> np.ndarray:
     """x as float rows of train's features: a 1-D x is one row, and with
-    one=True x must be a single feature vector (a scalar when d = 1)."""
+    one=True x must be a single feature vector (a scalar when d = 1). A row
+    holding a NaN or an infinity raises ValueError naming the first one."""
     q = np.asarray(x, dtype=float)
     rows = np.atleast_2d(q)
     if q.ndim > (1 if one else 2) or rows.shape[1] != train.n_features:
         raise ValueError("expected %s with %d features, got shape %s"
                          % ("one feature vector" if one else "query rows",
                             train.n_features, q.shape))
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError("query row %d is not finite" % np.argmax(bad))
     return rows
 
 

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .core import _check_count
+
 # Bracketing/bisection parameters for solve_gamma_star.
 MAX_DOUBLINGS = 200
 MAX_BISECTIONS = 200
@@ -46,7 +48,8 @@ def topk_avg_smallest(values, k: int) -> float:
     """Average of the K smallest values; ties resolved by value, not index.
     The one-row case of _topk_means."""
     a = _check_values(values)
-    if not 1 <= k <= a.size:
+    _check_count(k, "K")
+    if k > a.size:
         raise ValueError("K must be in [1, %d], got %d" % (a.size, k))
     return float(_topk_means(np.partition(a, k - 1)[None], k)[0])
 
@@ -69,6 +72,8 @@ def soft_agg(values, gamma: float) -> float:
     of the per-sample aggregate that the training objective uses.
     """
     a = _check_values(values)
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite, got %g" % gamma)
     if gamma == 0:
         raise ValueError("gamma must be nonzero; use the plain mean for gamma=0")
     b, _, _ = _segment_soft_agg(a, gamma, np.array([0, a.size]), np.array([a.size]))

@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptnn import (Dataset, emit_report, load_config, load_registry,
                      parse_report, run_experiment, smooth_over_k,
@@ -55,6 +56,94 @@ def test_cv_folds_stratified():
     for f in range(5):
         assert (labels[ids == f] == 1).sum() == 5
         assert (labels[ids == f] == 2).sum() == 5
+
+
+def _loop_split(labels, fraction, rng):
+    # the per-class loop stratified_split ran before it dealt through _deal
+    labels = np.asarray(labels)
+    train_idx, test_idx = [], []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        if members.size < 2:
+            raise ValueError("class %s has 1 sample; a stratified split needs "
+                             "at least 2 per class" % c)
+        perm = rng.permutation(members)
+        n_train = int(round(fraction * members.size))
+        n_train = min(max(n_train, 1), members.size - 1)
+        train_idx.append(perm[:n_train])
+        test_idx.append(perm[n_train:])
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
+
+
+def _loop_fold_ids(labels, folds, rng):
+    # the round-robin loop of cv_fold_ids before _deal, followed by the
+    # checks cross-validation then made on the drawn ids
+    ids = np.empty(labels.size, dtype=int)
+    for c in np.unique(labels):
+        members = rng.permutation(np.flatnonzero(labels == c))
+        ids[members] = np.arange(members.size) % folds
+    empty = np.flatnonzero(np.bincount(ids, minlength=folds) == 0)
+    if empty.size:
+        raise ValueError("fold %d holds no samples: cv_folds=%d is more than the "
+                         "%d training samples of the largest class"
+                         % (empty[0], folds, ids.max() + 1))
+    for c in np.unique(labels):
+        in_c = ids[labels == c]
+        fewest = in_c.size - np.bincount(in_c).max()
+        if fewest < 2:
+            raise ValueError("class %d is left with %d training sample(s) in a "
+                             "fold with cv_folds=%d; cross-validation needs >= 2 "
+                             "per class in every fold's training part"
+                             % (c, fewest, folds))
+    return ids
+
+
+def _outcome(fn, *args):
+    """fn's arrays as a tuple, or the message of the ValueError it raised."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return out if isinstance(out, tuple) else (out,)
+
+
+@st.composite
+def _dealer_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    order = draw(st.permutations(range(labels.size)))
+    return (labels[list(order)], draw(st.integers(2, 8)),
+            draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_dealer_cases())
+def test_dealer_matches_the_per_class_loops(case):
+    # equal rng states give equal arrays and leave equal rng states, and
+    # cv_fold_ids raises exactly when the checks on the drawn ids did, with
+    # the same message, but before anything is drawn
+    labels, folds, fraction, seed = case
+    for ours, loop, arg in ((stratified_split, _loop_split, fraction),
+                            (cv_fold_ids, _loop_fold_ids, folds)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _outcome(ours, labels, arg, rng), _outcome(loop, labels, arg, ref_rng)
+        if isinstance(want, str):
+            assert got == want
+            if ours is cv_fold_ids:
+                assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+            continue
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_cv_fold_ids_checks_folds_as_a_count():
+    labels = np.repeat([1, 2], 10)
+    for folds in (2.5, 0, None):
+        with pytest.raises(ValueError, match="folds must be an integer >= 1, got %r"
+                                             % (folds,)):
+            cv_fold_ids(labels, folds, np.random.default_rng(0))
 
 
 def test_run_experiment_deterministic(tmp_path):

@@ -34,6 +34,19 @@ def test_negative_score_iff_predicted():
     assert predict(fit, [10.6]) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_are_rejected(bad):
+    # each used to be answered silently: class 1 from predict and
+    # predict_batch whichever class is nearest, nan from decision_score
+    fit = FitKnn(train=_line_dataset(), metric=MetricMatrix.identity(1), k=2)
+    for call in (lambda: predict(fit, [bad]), lambda: decision_score(fit, [bad], 2)):
+        with pytest.raises(ValueError, match="query row 0 is not finite"):
+            call()
+    with pytest.raises(ValueError, match="query row 2 is not finite"):
+        predict_batch(fit, [[10.6], [0.4], [bad], [bad]])
+    assert predict_batch(fit, [[10.6], [0.4]]).tolist() == [2, 1]
+
+
 def test_equidistant_symmetric_score_is_zero():
     fit = FitKnn(train=_line_dataset(), metric=MetricMatrix.identity(1), k=2)
     assert decision_score(fit, [5.5], 1) == pytest.approx(0.0, abs=1e-9)

@@ -30,6 +30,18 @@ def test_topk_k_out_of_range():
         topk_avg_largest([1, 2], 5)
 
 
+def test_fractional_k_is_a_value_error():
+    # a fractional K used to reach np.partition and raise its TypeError
+    for call in (lambda: topk_avg_smallest([1.0, 2.0, 3.0], 1.5),
+                 lambda: topk_avg_largest([1.0, 2.0, 3.0], 1.5),
+                 lambda: solve_gamma_star([1.0, 2.0, 3.0], 1.5, "smallest"),
+                 lambda: solve_gamma_star([1.0, 2.0, 3.0], 1.5, "largest")):
+        with pytest.raises(ValueError, match="K must be an integer >= 1, got 1.5"):
+            call()
+    with pytest.raises(ValueError, match=r"K must be in \[1, 2\], got 3"):
+        topk_avg_smallest([1, 2], 3)
+
+
 def test_topk_means_sums_each_row_left_to_right():
     # the same bits for a row alone, in a C- or F-ordered block and from a
     # plain left-to-right sum, at k below and past the 8 entries from which
@@ -81,6 +93,13 @@ def test_soft_agg_errors():
         soft_agg([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         soft_agg([1.0, np.inf], 1.0)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_soft_agg_rejects_non_finite_gamma(gamma):
+    # each used to return nan with only a RuntimeWarning
+    with pytest.raises(ValueError, match="gamma must be finite, got %s" % gamma):
+        soft_agg([1.0, 2.0, 5.0], gamma)
 
 
 def test_soft_agg_no_overflow_at_extreme_gamma():
