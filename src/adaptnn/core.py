@@ -159,6 +159,17 @@ class NeighborSets:
     say which sample owns each pair, so no owner array is kept.
     :attr:`similar` and :attr:`dissimilar` are per-sample read-only views of
     the neighbor arrays.
+
+    The constructor checks that ``labels``, if given, holds one label per
+    sample, then checks the given sets in one scan over the samples and
+    raises ValueError at the first fault: the lowest faulty sample, and at
+    that sample the first of these checks that fails, each over S_i and D_i:
+    a set that is not 1-D, an empty set, an entry that is not an integer
+    (a fraction, a non-finite float, or a dtype that is neither integer nor
+    float), the sample itself, an index out of range, and, given
+    ``labels``, S_i holding a different-class sample, then D_i holding a
+    same-class sample. :func:`adaptnn.data.build_neighbor_sets` holds these
+    invariants by construction, so the sets it builds are not checked again.
     """
 
     __slots__ = ("sim_nbr", "sim_ptr", "dis_nbr", "dis_ptr")
@@ -167,43 +178,43 @@ class NeighborSets:
         n = len(similar)
         if len(dissimilar) != n:
             raise ValueError("similar and dissimilar must have equal length")
-        s_owner, s_nbr, s_ptr, s_bad = self._flatten(similar)
-        d_owner, d_nbr, d_ptr, d_bad = self._flatten(dissimilar)
-        # report the lowest faulty sample, and at one sample the first fault
-        # listed, as a scan over the samples would
-        _raise_first(((np.diff(s_ptr) == 0) | (np.diff(d_ptr) == 0),
-                      "empty neighbor set for sample %d"),
-                     (_owns(s_owner, s_bad, n) | _owns(d_owner, d_bad, n),
-                      "a neighbor index of sample %d is not an integer"),
-                     (_owns(s_owner, s_owner == s_nbr, n)
-                      | _owns(d_owner, d_owner == d_nbr, n),
-                      "sample %d contained in its own neighbor set"))
-        for side, nbr in (("similar", s_nbr), ("dissimilar", d_nbr)):
-            if nbr.min(initial=0) < 0 or nbr.max(initial=-1) >= n:
-                raise ValueError("%s neighbor index out of range [0, %d)" % (side, n))
+        similar = [np.asarray(s) for s in similar]
+        dissimilar = [np.asarray(s) for s in dissimilar]
         if labels is not None:
             labels = np.asarray(labels)
-            _raise_first((_owns(s_owner, labels[s_nbr] != labels[s_owner], n),
-                          "S_%d contains a different-class sample"),
-                         (_owns(d_owner, labels[d_nbr] == labels[d_owner], n),
-                          "D_%d contains a same-class sample"))
-        self.sim_nbr, self.sim_ptr = s_nbr, s_ptr
-        self.dis_nbr, self.dis_ptr = d_nbr, d_ptr
+            if labels.shape != (n,):
+                raise ValueError("labels must have shape (%d,), got %s" % (n, labels.shape))
+        for i, (s, d) in enumerate(zip(similar, dissimilar)):
+            if s.ndim != 1 or d.ndim != 1:
+                raise ValueError("the neighbor sets of sample %d must be 1-D, got ndim=%d "
+                                 "and %d" % (i, s.ndim, d.ndim))
+            if not (s.size and d.size):
+                raise ValueError("empty neighbor set for sample %d" % i)
+            # a bool, string or complex entry would otherwise cast to an index
+            if any(a.dtype.kind not in "iuf" or _non_integral(a).size for a in (s, d)):
+                raise ValueError("a neighbor index of sample %d is not an integer" % i)
+            if (s == i).any() or (d == i).any():
+                raise ValueError("sample %d contained in its own neighbor set" % i)
+            for side, a in (("similar", s), ("dissimilar", d)):
+                if a.min() < 0 or a.max() >= n:
+                    raise ValueError("%s neighbor index out of range [0, %d)" % (side, n))
+            if labels is not None:
+                if (labels[s.astype(int, copy=False)] != labels[i]).any():
+                    raise ValueError("S_%d contains a different-class sample" % i)
+                if (labels[d.astype(int, copy=False)] == labels[i]).any():
+                    raise ValueError("D_%d contains a same-class sample" % i)
+        self.sim_nbr, self.sim_ptr = _flat(similar)
+        self.dis_nbr, self.dis_ptr = _flat(dissimilar)
 
-    @staticmethod
-    def _flatten(sets):
-        """(owner, nbr, ptr, bad) of one side; the owners serve validation
-        only, and bad indexes the neighbors that are not integers (nbr is then
-        left uncast, and validation rejects it)."""
-        sets = [np.asarray(s) for s in sets]
-        counts = np.array([s.size for s in sets], dtype=int)
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        owner = np.repeat(np.arange(len(sets)), counts)
-        nbr = np.concatenate(sets) if sets else np.empty(0, dtype=int)
-        bad = _non_integral(nbr)
-        if not bad.size:
-            nbr = _readonly(np.asarray(nbr, dtype=int))
-        return owner, nbr, _readonly(ptr), bad
+    @classmethod
+    def _trusted(cls, similar, dissimilar) -> "NeighborSets":
+        """Wrap sets that hold every invariant by construction (the integer
+        arrays :func:`adaptnn.data.build_neighbor_sets` builds) without the
+        scan; the stored arrays are the ones __init__ would store."""
+        out = cls.__new__(cls)
+        out.sim_nbr, out.sim_ptr = _flat(similar)
+        out.dis_nbr, out.dis_ptr = _flat(dissimilar)
+        return out
 
     @property
     def similar(self) -> tuple:
@@ -224,18 +235,13 @@ class NeighborSets:
             self.n_samples, self.sim_nbr.size, self.dis_nbr.size)
 
 
-def _owns(owner: np.ndarray, bad: np.ndarray, n: int) -> np.ndarray:
-    """Per-sample flags: sample i owns at least one pair flagged in ``bad``."""
-    return np.bincount(owner[bad], minlength=n) > 0
-
-
-def _raise_first(*checks) -> None:
-    """Raise for the lowest sample flagged by any (flags, message) check; at
-    that sample the first check that flags it gives the message."""
-    flagged = np.flatnonzero(np.any([f for f, _ in checks], axis=0))
-    if flagged.size:
-        i = flagged[0]
-        raise ValueError(next(msg for f, msg in checks if f[i]) % i)
+def _flat(sets) -> tuple:
+    """(nbr, ptr) of one side: its 1-D sets concatenated into one read-only
+    integer array, and the read-only segment pointers."""
+    counts = np.array([s.size for s in sets], dtype=int)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    nbr = np.concatenate(sets) if sets else np.empty(0, dtype=int)
+    return _readonly(np.asarray(nbr, dtype=int)), _readonly(ptr)
 
 
 def _segments(nbr: np.ndarray, ptr: np.ndarray) -> tuple:

@@ -208,6 +208,8 @@ def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
     mode="knn_same_class": S_i is the k0 Euclidean-nearest same-class samples
     (capped at class size - 1, ties broken by lower index); k0 must then be
     an integer >= 1. Either way D_i is every sample of a different class.
+    The sets hold every :class:`NeighborSets` invariant by construction, so
+    they are wrapped without the constructor's checks.
     """
     if mode == "knn_same_class":
         _check_count(k0, "k0")
@@ -233,4 +235,4 @@ def build_neighbor_sets(data: Dataset, mode: str = "all_same_class",
             s = mates[np.argsort(d2, kind="stable")[:k0]]
         similar.append(s)
         dissimilar.append(others[y[i]])
-    return NeighborSets(similar, dissimilar, labels=y)
+    return NeighborSets._trusted(similar, dissimilar)

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,22 @@ def test_knn_same_class_matches_bruteforce():
 
 def test_all_same_class_matches_bruteforce():
     _assert_csr_matches_bruteforce("all_same_class")
+
+
+def test_build_holds_about_two_copies_of_its_output():
+    # 359,400 listed pairs at N = 600: each side's sets are concatenated once
+    # and copied into its read-only array, with no pair-sized owner array,
+    # label gather or fault flags next to them
+    data = make_dataset(np.random.default_rng(0), n=600, d=4, classes=3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        nbrs = build_neighbor_sets(data)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    out = sum(getattr(nbrs, name).nbytes for name in CSR_ARRAYS)
+    assert out <= peak < 2.5 * out
 
 
 def test_unknown_mode_rejected():
