@@ -120,7 +120,10 @@ def _deal(labels, rng, places) -> np.ndarray:
 def stratified_split(labels, fraction: float, rng) -> tuple:
     """Per-class shuffled split; train takes round(fraction * n_c) of each
     class, clamped so both sides stay non-empty. A class with fewer than 2
-    samples cannot be split that way and raises ValueError."""
+    samples cannot be split that way, and a fraction outside (0, 1) would be
+    clamped to one sample per class; both raise ValueError."""
+    if not 0 < fraction < 1:
+        raise ValueError("fraction must be in (0, 1), got %s" % fraction)
     classes, sizes = np.unique(labels, return_counts=True)
     if (sizes < 2).any():
         raise ValueError("class %s has 1 sample; a stratified split needs "

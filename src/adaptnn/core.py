@@ -166,10 +166,11 @@ class NeighborSets:
     that sample the first of these checks that fails, each over S_i and D_i:
     a set that is not 1-D, an empty set, an entry that is not an integer
     (a fraction, a non-finite float, or a dtype that is neither integer nor
-    float), the sample itself, an index out of range, and, given
-    ``labels``, S_i holding a different-class sample, then D_i holding a
-    same-class sample. :func:`adaptnn.data.build_neighbor_sets` holds these
-    invariants by construction, so the sets it builds are not checked again.
+    float, bar integers too large for int64), the sample itself, an index
+    out of range, and, given ``labels``, S_i holding a different-class
+    sample, then D_i holding a same-class sample.
+    :func:`adaptnn.data.build_neighbor_sets` holds these invariants by
+    construction, so the sets it builds are not checked again.
     """
 
     __slots__ = ("sim_nbr", "sim_ptr", "dis_nbr", "dis_ptr")
@@ -190,8 +191,7 @@ class NeighborSets:
                                  "and %d" % (i, s.ndim, d.ndim))
             if not (s.size and d.size):
                 raise ValueError("empty neighbor set for sample %d" % i)
-            # a bool, string or complex entry would otherwise cast to an index
-            if any(a.dtype.kind not in "iuf" or _non_integral(a).size for a in (s, d)):
+            if not (_integer_entries(s) and _integer_entries(d)):
                 raise ValueError("a neighbor index of sample %d is not an integer" % i)
             if (s == i).any() or (d == i).any():
                 raise ValueError("sample %d contained in its own neighbor set" % i)
@@ -233,6 +233,20 @@ class NeighborSets:
     def __repr__(self):
         return "NeighborSets(n=%d, pairs=%d+%d)" % (
             self.n_samples, self.sim_nbr.size, self.dis_nbr.size)
+
+
+def _integer_entries(a: np.ndarray) -> bool:
+    """Whether a neighbor set's entries are integers: an integer dtype, or
+    whole floats. An object array passes only when its entries are all
+    integers (bools not counted) and one is too large for int64, which is
+    how np.asarray holds such an index; the range check then names it. Any
+    other object array fails, as does a bool, string or complex entry,
+    which a cast would otherwise make an index of."""
+    if a.dtype.kind == "O":
+        return (all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    for v in a)
+                and any(abs(v) >= 2 ** 63 for v in a))
+    return a.dtype.kind in "iuf" and not _non_integral(a).size
 
 
 def _flat(sets) -> tuple:

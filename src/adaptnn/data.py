@@ -190,7 +190,8 @@ def fit_pca(data: Dataset, target_dim: int) -> Preprocessor:
 def apply_pca(p: Preprocessor, data: Dataset) -> Dataset:
     if p.means is None or p.pca_basis is None:
         raise ValueError("preprocessor not fitted for PCA")
-    if p.pca_basis.shape == (data.n_features, data.n_features) and \
+    if not p.means.any() and \
+            p.pca_basis.shape == (data.n_features, data.n_features) and \
             np.array_equal(p.pca_basis, np.eye(data.n_features)):
         return data  # identity transform, bit-exact passthrough
     return Dataset((data.features - p.means) @ p.pca_basis, data.labels)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, HyperParams, NeighborSets
-from .metric import _as_array, pairwise_sq
+from .metric import _TABLE_BLOCK, _as_array, pairwise_sq
 from .softagg import _segment_soft_agg
 
 
@@ -138,12 +138,6 @@ _STREAM_ELEMENTS = 1 << 22
 _STREAM_ROWS = 1024
 
 
-# rows per block of the gradient's in-place mirror w + w^T: at N = 1500 a
-# block's transposed column block stays in L2, and a CV fold's N x N matrix
-# is one block, which costs no more than w + w^T
-_MIRROR_ROWS = 256
-
-
 def _blocks(rows, step=_BLOCK_ROWS):
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
@@ -184,9 +178,13 @@ def _mirror_upper(w):
     Each row block's lower entries take the transposed upper column block,
     and each diagonal block adds its own transpose. The lower entries are
     +0.0, so this equals w + w^T bit for bit unless an upper entry is -0.0.
+    A row block is one distance-table block of N columns, so a block's
+    transposed column block stays in L2, and a CV fold's w is one block,
+    which costs no more than w + w^T.
     """
-    for lo in range(0, w.shape[0], _MIRROR_ROWS):
-        hi = lo + _MIRROR_ROWS
+    step = max(1, _TABLE_BLOCK // w.shape[0])
+    for lo in range(0, w.shape[0], step):
+        hi = lo + step
         block = w[lo:hi, lo:hi]
         block += block.T.copy()
         if lo:

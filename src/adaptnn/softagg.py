@@ -17,10 +17,7 @@ import numpy as np
 
 from .core import _check_count
 
-# Bracketing/bisection parameters for solve_gamma_star.
-MAX_DOUBLINGS = 200
-MAX_BISECTIONS = 200
-GAMMA_TOL = 1e-10
+# solve_gamma_star's residual target, relative to 1 + |target|.
 RESIDUAL_RTOL = 1e-8
 
 
@@ -111,21 +108,24 @@ def _segment_soft_agg(q: np.ndarray, a: float, ptr: np.ndarray, counts: np.ndarr
 def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
     """Find gamma* with b(gamma*) equal to the average of the K smallest
     (mode="smallest", gamma* > 0) or K largest (mode="largest", gamma* < 0)
-    values.
+    values, to the residual |b(gamma*) - target| <= 1e-8 * (1 + |target|).
 
     The largest mode is the smallest mode of the negated values: b(-g; a) =
     -b(g; -a), and the K largest of a are minus the K smallest of -a.
 
-    Bracket by doubling gamma from 1 until b(gamma) - target changes sign,
-    then bisect. Residual target: |b(gamma*) - target| <= 1e-8 * (1 + |target|).
-
     Sentinel: 0.0 when the target equals the plain mean (K = n, or constant
     values), attained only in the gamma -> 0 limit.
 
-    Every other solve returns a finite gamma that meets the residual target,
-    K = 1 included: b(gamma) exceeds the minimum by at most ln(n)/gamma, so
-    the doubling meets the residual by gamma = ln(n) * 1e8 < 2^33. The
-    MAX_DOUBLINGS cap and its inf return are a guard no input reaches.
+    Every other solve is one bisection of f = b - target on (0, hi] with
+    hi = 2 ln(n) / max(target - min(a), res_tol). b is strictly decreasing
+    and tends to the mean > target as gamma -> 0, so f > 0 near 0. The sum
+    in b holds the term exp(0) = 1, so b(gamma) - min(a) <= ln(n) / gamma,
+    and at hi that bound is half of max(target - min(a), res_tol): either
+    f(hi) <= -(target - min(a)) / 2 < 0, or the target is within res_tol of
+    the minimum (K = 1 always) and |f(hi)| <= res_tol. The bisection returns
+    the first midpoint that meets the residual, or the midpoint that rounds
+    to an end of the bracket, which is then two adjacent floats; so the
+    loop always ends.
     """
     a = _check_values(values)
     if mode == "largest":
@@ -138,33 +138,14 @@ def solve_gamma_star(values, k: int, mode: str = "smallest") -> float:
         return 0.0
 
     res_tol = RESIDUAL_RTOL * (1.0 + abs(target))
-
-    def f(g: float) -> float:
-        return soft_agg(a, g) - target
-
-    # b is strictly decreasing and mean > target, so f > 0 near gamma = 0
-    # and f < 0 once gamma is past gamma*.
-    gamma = 1.0
-    lo = 0.0  # bisection never evaluates at the endpoint itself
-    for _ in range(MAX_DOUBLINGS):
-        fg = f(gamma)
-        if abs(fg) <= res_tol:
-            return gamma
-        if fg < 0:
-            hi = gamma
-            break
-        lo = gamma
-        gamma *= 2.0
-    else:
-        return math.inf
-
-    for _ in range(MAX_BISECTIONS):
+    lo = 0.0
+    hi = 2.0 * math.log(a.size) / max(target - float(a.min()), res_tol)
+    while True:
         mid = (lo + hi) / 2.0
-        fm = f(mid)
-        if abs(fm) <= res_tol or abs(hi - lo) <= GAMMA_TOL:
+        fm = soft_agg(a, mid) - target
+        if abs(fm) <= res_tol or mid == lo or mid == hi:
             return mid
         if fm > 0:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0

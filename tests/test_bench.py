@@ -50,6 +50,16 @@ def test_stratified_split_rejects_singleton_class():
         stratified_split(labels, 0.7, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("fraction", [-1.0, 0.0, 1.0, 7.0, float("nan")])
+def test_stratified_split_rejects_a_fraction_outside_the_unit_interval(fraction):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\), got %s"
+                                         % fraction):
+        stratified_split(np.repeat([1, 2], 10), fraction, rng)
+    # rejected before anything is drawn
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_cv_folds_stratified():
     labels = np.repeat([1, 2], 25)
     ids = cv_fold_ids(labels, 5, np.random.default_rng(2))

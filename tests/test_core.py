@@ -159,6 +159,17 @@ def test_neighbor_sets_reject_non_numeric_index(bad):
         NeighborSets([bad, [0], [3], [2]], [[2], [3], [0], [1]], labels=[1, 1, 2, 2])
 
 
+@pytest.mark.parametrize("index", [2 ** 70, -2 ** 70])
+@pytest.mark.parametrize("side", ["similar", "dissimilar"])
+def test_neighbor_sets_name_an_index_beyond_int64_out_of_range(side, index):
+    # np.asarray holds such an index as a Python int in an object array
+    sets = {"similar": [[1], [0], [3], [2]], "dissimilar": [[2], [3], [0], [1]]}
+    sets[side][0] = [index]
+    with pytest.raises(ValueError, match=r"^%s neighbor index out of range \[0, 4\)"
+                                         % side):
+        NeighborSets(sets["similar"], sets["dissimilar"])
+
+
 @pytest.mark.parametrize("sets, message", [
     (([[1], [[0]], [3], [2]], [[2], [3], [0], [1]]), "sample 1 must be 1-D, got ndim=2 and 1"),
     (([[1], [0], [3], [2]], [[[2]], [[3]], [[0]], [[1]]]),

@@ -210,6 +210,13 @@ def test_pca_identity_below_threshold():
     assert np.array_equal(out.features, ds.features)
 
 
+def test_pca_identity_basis_still_subtracts_the_means():
+    ds = Dataset(np.random.default_rng(3).normal(size=(10, 3)),
+                 [1 + i % 2 for i in range(10)])
+    out = apply_pca(Preprocessor(means=np.ones(3), pca_basis=np.eye(3)), ds)
+    assert np.array_equal(out.features, ds.features - 1.0)
+
+
 def test_pca_rank1_lossless():
     rng = np.random.default_rng(4)
     direction = rng.normal(size=3)

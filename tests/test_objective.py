@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from adaptnn import (Dataset, HingeLoss, HyperParams, IdentityLoss, MetricMatrix,
                      NeighborSets, SoftplusLoss, ann_gradient, ann_objective,
                      build_neighbor_sets, nca_objective, pnca_objective, soft_agg)
-from adaptnn import objective
+from adaptnn import metric, objective
 from adaptnn.objective import PairEvaluator
 from helpers import (listed_pair_evaluation, mahalanobis_sq, make_dataset,
                      make_instance, neighbor_weights, owners, pair_quadforms,
@@ -590,7 +591,7 @@ def test_gradient_holds_one_square_buffer():
     assert 8 * n * n <= peak < 8 * (1.5 * n * n + ev.keys.size)
 
 
-_B = objective._MIRROR_ROWS
+_B = math.isqrt(metric._TABLE_BLOCK)
 
 
 @pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 2 * _B + _B // 2])

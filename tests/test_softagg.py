@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adaptnn import soft_agg, solve_gamma_star, topk_avg_largest, topk_avg_smallest
+from adaptnn import softagg
 from adaptnn.softagg import _segment_soft_agg, _topk_means
 
 
@@ -179,6 +180,57 @@ def test_solver_example_largest():
     g = solve_gamma_star(v, 2, "largest")
     assert g < 0
     assert abs(soft_agg(v, g) - 3.5) <= 1e-8 * (1 + 3.5)
+
+
+def _counted_solve(monkeypatch, values, k, mode):
+    """(gamma*, the number of soft_agg evaluations the solve made)."""
+    calls = []
+    real = softagg.soft_agg
+    monkeypatch.setattr(softagg, "soft_agg", lambda a, g: calls.append(g) or real(a, g))
+    g = solve_gamma_star(values, k, mode)
+    monkeypatch.undo()
+    return g, len(calls)
+
+
+def _assert_residual_met(values, k, mode, g):
+    oracle = topk_avg_smallest if mode == "smallest" else topk_avg_largest
+    target = oracle(values, k)
+    assert math.isfinite(g) and (g > 0) == (mode == "smallest")
+    assert abs(soft_agg(values, g) - target) <= 1e-8 * (1 + abs(target))
+
+
+@pytest.mark.parametrize("values, k, mode", [
+    ([1.0, 2.0, 3.0, 4.0], 1, "smallest"),
+    ([1.0, 2.0, 3.0, 4.0], 1, "largest"),
+    ([1.0, 1.0, 2.0, 5.0], 2, "smallest")])
+def test_solver_target_at_the_minimum_takes_few_evaluations(monkeypatch, values, k,
+                                                             mode):
+    # the K smallest (largest) all equal the minimum (maximum), so b at the
+    # bracket's end is within half the residual: the first midpoints meet it
+    g, evals = _counted_solve(monkeypatch, values, k, mode)
+    assert evals <= 3
+    _assert_residual_met(values, k, mode, g)
+
+
+@pytest.mark.parametrize("values, ks", [
+    (np.random.default_rng(23).normal(size=100_000), (1, 10, 50_000, 99_999)),
+    ([-1e300, 1e300], (1,))])
+def test_solver_meets_the_residual_on_long_and_wide_lists(values, ks):
+    for k in ks:
+        for mode in ("smallest", "largest"):
+            _assert_residual_met(values, k, mode, solve_gamma_star(values, k, mode))
+
+
+def test_solver_evaluations_are_bounded(monkeypatch):
+    # c02's lists: one bisection inside the proved bracket, no doubling
+    rng = np.random.default_rng(102)
+    for _ in range(50):
+        v = np.unique(rng.uniform(-6, 6, size=int(rng.integers(2, 13))))
+        for k in range(1, v.size):
+            for mode in ("smallest", "largest"):
+                g, evals = _counted_solve(monkeypatch, v, k, mode)
+                assert evals <= 64, (v, k, mode)
+                _assert_residual_met(v, k, mode, g)
 
 
 def test_solver_constant_list_sentinel():
